@@ -1,0 +1,641 @@
+"""Quadtree block codec with a texture-synthesis mode.
+
+Stand-in for a production encoder: 64x64 superblocks split down to 16x16,
+modes INTRA_DC / INTER_MV / GLOBAL_WARP / TEXTURE, orthonormal DCT residual
+coding with Exp-Golomb entropy codes, GF groups led by KEY frames, and a
+bit-exact decoder.  Texture blocks are forced (no RD, no further split) to
+GLOBAL_WARP prediction from the group's KEY-frame reconstruction with zero
+residual; the texture motion parameters ride in the uncompressed frame
+header.  See docs/bitstream.md for the exact "TXC1" layout.
+"""
+
+from __future__ import annotations
+
+import struct
+import zlib
+from dataclasses import dataclass, field
+from enum import IntEnum
+
+import numpy as np
+
+from .analyzer import TextureMask, all_texture_mask
+from .bitio import BitReader, BitstreamError, BitWriter
+from .datasets import TEXTURE as TEXTURE_LABEL
+from .frames import BLOCK, BlockRect, Frame, Sequence, crop_frame, pad16, pad_frame
+from .motion import (AffineMotion, EstimationConfig, MotionError,
+                     MotionModelKind, diamond_search, estimate_texture_motion,
+                     warp_frame, warp_rect)
+from .transform import reconstruct_residual, scan, transform_quantize, unscan
+
+MAGIC = b"TXC1"
+VERSION = 1
+SUPERBLOCK = 64
+MIN_BLOCK = 16
+LUMA_TU = 16
+CHROMA_TU = 8
+
+_MODEL_CODE = {MotionModelKind.TRANSLATION: 0, MotionModelKind.ROTZOOM: 1,
+               MotionModelKind.AFFINE: 2}
+_MODEL_FROM_CODE = {v: k for k, v in _MODEL_CODE.items()}
+
+KEY_FRAME, INTER_FRAME = 0, 1
+
+
+class BlockMode(IntEnum):
+    INTRA_DC = 0
+    INTER_MV = 1
+    GLOBAL_WARP = 2
+    TEXTURE = 3
+
+
+@dataclass
+class EncoderConfig:
+    q_level: int = 24
+    gf_group_size: int = 8
+    texture_mode: bool = True
+    model_kind: MotionModelKind = MotionModelKind.ROTZOOM
+    search_range: int = 32
+    motion_seed: int = 1234
+
+    def __post_init__(self):
+        if not 4 <= self.gf_group_size <= 16:
+            raise ValueError("gf_group_size must be in [4, 16]")
+        if not 1 <= self.q_level <= 63:
+            raise ValueError("q_level must be in [1, 63]")
+
+    @property
+    def q_step(self) -> int:
+        return self.q_level
+
+    @property
+    def rd_lambda(self) -> float:
+        return 0.85 * self.q_step ** 2
+
+
+@dataclass
+class FrameStats:
+    frame_index: int
+    frame_type: str
+    bits: int
+    mode_counts: dict
+    texture_block_count: int
+    texture_area_fraction: float
+
+    def as_dict(self):
+        return dict(self.__dict__)
+
+
+@dataclass
+class EncodeResult:
+    bitstream: bytes
+    frame_stats: list
+    reconstructions: list  # padded Frame per input frame
+    traces: list           # per frame: list of (BlockRect, BlockMode)
+
+
+@dataclass
+class DecodeResult:
+    sequence: Sequence    # cropped to original dimensions
+    reconstructions: list  # padded Frame per coded frame
+
+
+# ---------------------------------------------------------------------------
+# texture block decision
+
+
+def is_texture_block(rect: BlockRect, cur_mask: TextureMask,
+                     ref_mask: TextureMask, m: AffineMotion,
+                     ref_width: int, ref_height: int) -> bool:
+    """A block is a texture block when it lies entirely inside the current
+    frame's texture region and its warped footprint (corner bounding box,
+    padded by 1 px of bilinear support) lies entirely inside the reference
+    frame's texture region and inside the reference frame itself."""
+    cols, rows = rect.cells()
+    for gy in rows:
+        for gx in cols:
+            if cur_mask.labels[gy, gx] != TEXTURE_LABEL:
+                return False
+    corners = warp_rect(m, rect)
+    xs = [c[0] for c in corners]
+    ys = [c[1] for c in corners]
+    x0, x1 = min(xs) - 1.0, max(xs) + 1.0
+    y0, y1 = min(ys) - 1.0, max(ys) + 1.0
+    if x0 < 0 or y0 < 0 or x1 > ref_width - 1 or y1 > ref_height - 1:
+        return False
+    for gy in range(int(np.floor(y0 / BLOCK)), int(np.floor(y1 / BLOCK)) + 1):
+        for gx in range(int(np.floor(x0 / BLOCK)), int(np.floor(x1 / BLOCK)) + 1):
+            if ref_mask.labels[gy, gx] != TEXTURE_LABEL:
+                return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# shared frame coding context
+
+
+@dataclass
+class _Leaf:
+    mode: BlockMode
+    mv: tuple[int, int] | None = None
+    # plane -> list of quantized level arrays, TU raster order
+    levels: dict = field(default_factory=dict)
+
+
+class _FrameCtx:
+    """State shared between RD search, bit emission and decoding for one
+    frame: working reconstruction planes plus prediction sources."""
+
+    def __init__(self, pw, ph, q_step, frame_type, prev_recon=None,
+                 warped=None, orig=None, rd_lambda=0.0):
+        self.pw, self.ph = pw, ph
+        self.q_step = q_step
+        self.frame_type = frame_type
+        self.prev_recon = prev_recon
+        self.warped = warped
+        self.orig = orig
+        self.rd_lambda = rd_lambda
+        self.motion: AffineMotion | None = None
+        self.recon = {
+            "y": np.zeros((ph, pw), np.uint8),
+            "u": np.zeros((ph // 2, pw // 2), np.uint8),
+            "v": np.zeros((ph // 2, pw // 2), np.uint8),
+        }
+
+    def recon_frame(self, frame_index, orig_w, orig_h) -> Frame:
+        return Frame(y=self.recon["y"], u=self.recon["u"], v=self.recon["v"],
+                     frame_index=frame_index,
+                     orig_width=orig_w, orig_height=orig_h)
+
+
+def _plane_rect(plane, rect):
+    if plane == "y":
+        return rect.x, rect.y, rect.size
+    return rect.x // 2, rect.y // 2, rect.size // 2
+
+
+def _dc_predict(recon_plane, x, y, s) -> int:
+    total, n = 0, 0
+    if y > 0:
+        row = recon_plane[y - 1, x:x + s]
+        total += int(row.sum(dtype=np.int64))
+        n += row.size
+    if x > 0:
+        col = recon_plane[y:y + s, x - 1]
+        total += int(col.sum(dtype=np.int64))
+        n += col.size
+    if n == 0:
+        return 128
+    return (total + n // 2) // n
+
+
+def _prediction(ctx: _FrameCtx, leaf: _Leaf, rect: BlockRect,
+                plane: str) -> np.ndarray:
+    x, y, s = _plane_rect(plane, rect)
+    if leaf.mode == BlockMode.INTRA_DC:
+        dc = _dc_predict(ctx.recon[plane], x, y, s)
+        return np.full((s, s), dc, np.int64)
+    if leaf.mode == BlockMode.INTER_MV:
+        dx, dy = leaf.mv
+        if plane != "y":
+            dx, dy = dx // 2, dy // 2
+        src = ctx.prev_recon[plane]
+        return src[y + dy:y + dy + s, x + dx:x + dx + s].astype(np.int64)
+    # GLOBAL_WARP and TEXTURE share the warped texture reference
+    return ctx.warped[plane][y:y + s, x:x + s].astype(np.int64)
+
+
+def _tu_grid(plane, rect):
+    x, y, s = _plane_rect(plane, rect)
+    tu = LUMA_TU if plane == "y" else CHROMA_TU
+    return [(x + j, y + i, tu) for i in range(0, s, tu) for j in range(0, s, tu)]
+
+
+def _apply_leaf(ctx: _FrameCtx, leaf: _Leaf, rect: BlockRect) -> None:
+    """Reconstruct a leaf into the working recon planes from its coded
+    levels; identical on encoder and decoder."""
+    for plane in ("y", "u", "v"):
+        pred = _prediction(ctx, leaf, rect, plane)
+        x, y, s = _plane_rect(plane, rect)
+        if leaf.mode == BlockMode.TEXTURE:
+            recon = pred
+        else:
+            recon = pred.copy()
+            tu = LUMA_TU if plane == "y" else CHROMA_TU
+            for k, (tx, ty, _) in enumerate(_tu_grid(plane, rect)):
+                res = reconstruct_residual(leaf.levels[plane][k], ctx.q_step)
+                recon[ty - y:ty - y + tu, tx - x:tx - x + tu] += res
+        ctx.recon[plane][y:y + s, x:x + s] = np.clip(recon, 0, 255).astype(np.uint8)
+
+
+def _write_coeffs(bw: BitWriter, levels: np.ndarray) -> None:
+    flat = scan(levels)
+    nz = np.flatnonzero(flat)
+    bw.write_ue(len(nz))
+    prev = -1
+    for pos in nz:
+        bw.write_ue(int(pos) - prev - 1)
+        bw.write_se(int(flat[pos]))
+        prev = int(pos)
+
+
+def _read_coeffs(br: BitReader, n: int) -> np.ndarray:
+    flat = np.zeros(n * n, np.int64)
+    count = br.read_ue()
+    if count > n * n:
+        raise BitstreamError("coefficient count out of range")
+    pos = -1
+    for _ in range(count):
+        pos += br.read_ue() + 1
+        if pos >= n * n:
+            raise BitstreamError("coefficient position out of range")
+        flat[pos] = br.read_se()
+    return unscan(flat, n)
+
+
+def _write_leaf(bw: BitWriter, leaf: _Leaf, rect: BlockRect) -> None:
+    bw.write_bits(int(leaf.mode), 2)
+    if leaf.mode == BlockMode.TEXTURE:
+        return
+    if leaf.mode == BlockMode.INTER_MV:
+        bw.write_se(leaf.mv[0])
+        bw.write_se(leaf.mv[1])
+    for plane in ("y", "u", "v"):
+        for lv in leaf.levels[plane]:
+            _write_coeffs(bw, lv)
+
+
+def _read_leaf(br: BitReader, ctx: _FrameCtx, rect: BlockRect) -> _Leaf:
+    mode = BlockMode(br.read_bits(2))
+    if ctx.frame_type == KEY_FRAME and mode != BlockMode.INTRA_DC:
+        raise BitstreamError(f"mode {mode.name} invalid in KEY frame")
+    leaf = _Leaf(mode=mode)
+    if mode == BlockMode.TEXTURE:
+        return leaf
+    if mode == BlockMode.INTER_MV:
+        leaf.mv = (br.read_se(), br.read_se())
+        x, y, s = rect.x, rect.y, rect.size
+        dx, dy = leaf.mv
+        if not (0 <= x + dx <= ctx.pw - s and 0 <= y + dy <= ctx.ph - s):
+            raise BitstreamError("motion vector out of frame")
+    for plane in ("y", "u", "v"):
+        tu = LUMA_TU if plane == "y" else CHROMA_TU
+        leaf.levels[plane] = [_read_coeffs(br, tu) for _ in _tu_grid(plane, rect)]
+    return leaf
+
+
+# ---------------------------------------------------------------------------
+# encoder
+
+
+def _build_leaf(ctx: _FrameCtx, mode: BlockMode, rect: BlockRect,
+                search_range: int) -> _Leaf:
+    leaf = _Leaf(mode=mode)
+    if mode == BlockMode.TEXTURE:
+        return leaf
+    if mode == BlockMode.INTER_MV:
+        block = ctx.orig["y"][rect.y:rect.y + rect.size,
+                              rect.x:rect.x + rect.size]
+        dx, dy, _ = diamond_search(block, ctx.prev_recon["y"], rect.x, rect.y,
+                                   search_range)
+        leaf.mv = (dx, dy)
+    for plane in ("y", "u", "v"):
+        pred = _prediction(ctx, leaf, rect, plane)
+        x, y, s = _plane_rect(plane, rect)
+        orig = ctx.orig[plane][y:y + s, x:x + s].astype(np.int64)
+        tu = LUMA_TU if plane == "y" else CHROMA_TU
+        leaf.levels[plane] = []
+        for tx, ty, _ in _tu_grid(plane, rect):
+            res = (orig - pred)[ty - y:ty - y + tu, tx - x:tx - x + tu]
+            leaf.levels[plane].append(transform_quantize(res, ctx.q_step))
+    return leaf
+
+
+def _leaf_bits(leaf: _Leaf, rect: BlockRect, with_flag: bool) -> int:
+    bw = BitWriter()
+    if with_flag:
+        bw.write_bit(0)
+    _write_leaf(bw, leaf, rect)
+    return bw.bits_written
+
+
+def _block_ssd(ctx: _FrameCtx, rect: BlockRect) -> int:
+    total = 0
+    for plane in ("y", "u", "v"):
+        x, y, s = _plane_rect(plane, rect)
+        d = (ctx.orig[plane][y:y + s, x:x + s].astype(np.int64)
+             - ctx.recon[plane][y:y + s, x:x + s].astype(np.int64))
+        total += int((d * d).sum())
+    return total
+
+
+def _snapshot(ctx, rect):
+    out = {}
+    for plane in ("y", "u", "v"):
+        x, y, s = _plane_rect(plane, rect)
+        out[plane] = ctx.recon[plane][y:y + s, x:x + s].copy()
+    return out
+
+
+def _restore(ctx, rect, snap):
+    for plane in ("y", "u", "v"):
+        x, y, s = _plane_rect(plane, rect)
+        ctx.recon[plane][y:y + s, x:x + s] = snap[plane]
+
+
+def _apply_tree(ctx, tree, rect, bw=None, trace=None):
+    """Reconstruct (and optionally emit) a decided tree.  `tree` is either a
+    _Leaf, ('split', [children]) or None (node outside the frame)."""
+    if tree is None:
+        return
+    if isinstance(tree, tuple) and tree[0] == "split":
+        boundary = rect.x + rect.size > ctx.pw or rect.y + rect.size > ctx.ph
+        if bw is not None and not boundary:
+            bw.write_bit(1)
+        half = rect.size // 2
+        for cy in (0, 1):
+            for cx in (0, 1):
+                child = BlockRect(rect.x + cx * half, rect.y + cy * half, half)
+                if child.x >= ctx.pw or child.y >= ctx.ph:
+                    continue
+                _apply_tree(ctx, tree[1][cy * 2 + cx], child, bw, trace)
+        return
+    if bw is not None and rect.size > MIN_BLOCK:
+        bw.write_bit(0)
+    if bw is not None:
+        _write_leaf(bw, tree, rect)
+    _apply_leaf(ctx, tree, rect)
+    if trace is not None:
+        trace.append((rect, tree.mode))
+
+
+# candidate order implements the tie-break preference:
+# TEXTURE > GLOBAL_WARP > INTER_MV > INTRA_DC > SPLIT (strict < to replace)
+def _leaf_candidates(ctx: _FrameCtx, texture_available: bool):
+    if ctx.frame_type == KEY_FRAME:
+        return (BlockMode.INTRA_DC,)
+    modes = []
+    if ctx.warped is not None:
+        modes.append(BlockMode.GLOBAL_WARP)
+    modes.append(BlockMode.INTER_MV)
+    modes.append(BlockMode.INTRA_DC)
+    return tuple(modes)
+
+
+def _search_node(ctx: _FrameCtx, rect: BlockRect, cfg: EncoderConfig,
+                 cur_mask, ref_mask):
+    """RD-search one quadtree node; returns (tree, bits, dist) and leaves the
+    working reconstruction unchanged."""
+    if rect.x >= ctx.pw or rect.y >= ctx.ph:
+        return None, 0, 0
+    boundary = rect.x + rect.size > ctx.pw or rect.y + rect.size > ctx.ph
+    if boundary:
+        # partial node: forced split, no flag coded
+        return _search_split(ctx, rect, cfg, cur_mask, ref_mask, flag_bits=0)
+
+    texture_forced = (
+        cfg.texture_mode
+        and ctx.frame_type == INTER_FRAME
+        and cur_mask is not None
+        and is_texture_block(rect, cur_mask, ref_mask, ctx.motion,
+                             ctx.pw, ctx.ph)
+    )
+    snap = _snapshot(ctx, rect)
+    if texture_forced:
+        leaf = _Leaf(mode=BlockMode.TEXTURE)
+        bits = _leaf_bits(leaf, rect, with_flag=rect.size > MIN_BLOCK)
+        _apply_leaf(ctx, leaf, rect)
+        dist = _block_ssd(ctx, rect)
+        _restore(ctx, rect, snap)
+        return leaf, bits, dist
+
+    best = None
+    for mode in _leaf_candidates(ctx, cfg.texture_mode):
+        leaf = _build_leaf(ctx, mode, rect, cfg.search_range)
+        bits = _leaf_bits(leaf, rect, with_flag=rect.size > MIN_BLOCK)
+        _apply_leaf(ctx, leaf, rect)
+        dist = _block_ssd(ctx, rect)
+        _restore(ctx, rect, snap)
+        cost = dist + ctx.rd_lambda * bits
+        if best is None or cost < best[0]:
+            best = (cost, leaf, bits, dist)
+    if rect.size > MIN_BLOCK:
+        tree, sbits, sdist = _search_split(ctx, rect, cfg, cur_mask, ref_mask,
+                                           flag_bits=1)
+        scost = sdist + ctx.rd_lambda * sbits
+        if scost < best[0]:
+            return tree, sbits, sdist
+    return best[1], best[2], best[3]
+
+
+def _search_split(ctx, rect, cfg, cur_mask, ref_mask, flag_bits):
+    snap = _snapshot(ctx, rect)
+    half = rect.size // 2
+    children, bits, dist = [], flag_bits, 0
+    for cy in (0, 1):
+        for cx in (0, 1):
+            child = BlockRect(rect.x + cx * half, rect.y + cy * half, half)
+            tree, b, d = _search_node(ctx, child, cfg, cur_mask, ref_mask)
+            children.append(tree)
+            bits += b
+            dist += d
+            _apply_tree(ctx, tree, child)  # context for the next sibling
+    _restore(ctx, rect, snap)
+    return ("split", children), bits, dist
+
+
+def _estimate_frame_motion(cur: Frame, key_recon: Frame, cur_mask, cfg):
+    """Texture motion against the group's KEY reconstruction.  Without a
+    usable texture region (or in baseline mode) the model is fitted on the
+    whole frame so GLOBAL_WARP stays available."""
+    gh, gw = cur.height // BLOCK, cur.width // BLOCK
+    est_cfg = EstimationConfig(search_range=cfg.search_range,
+                               rng_seed=cfg.motion_seed)
+    masks = []
+    if cfg.texture_mode and cur_mask is not None \
+            and np.any(cur_mask.labels == TEXTURE_LABEL):
+        masks.append(cur_mask)
+    masks.append(all_texture_mask(gh, gw))
+    for mask in masks:
+        try:
+            m, _ = estimate_texture_motion(cur, key_recon, mask,
+                                           cfg.model_kind, est_cfg)
+            return m.quantized_q16()
+        except MotionError:
+            continue
+    return AffineMotion.identity()
+
+
+def encode_sequence(seq: Sequence, masks, config: EncoderConfig) -> EncodeResult:
+    """Encode a sequence; returns the TXC1 bitstream, per-frame stats, the
+    encoder-side reconstructions and a (rect, mode) trace per frame."""
+    if config.texture_mode and (masks is None or len(masks) != len(seq)):
+        raise ValueError("texture_mode requires one mask per frame")
+    padded = [pad_frame(f) for f in seq]
+    pw, ph = padded[0].width, padded[0].height
+    if masks is not None:
+        for f, m in zip(padded, masks):
+            if (m.grid_h, m.grid_w) != (ph // BLOCK, pw // BLOCK):
+                raise ValueError(
+                    f"mask grid {m.grid_w}x{m.grid_h} does not match padded "
+                    f"frame {pw}x{ph}")
+
+    out = bytearray()
+    out += struct.pack("<4sBHHHBB", MAGIC, VERSION, seq.width, seq.height,
+                       len(seq), config.gf_group_size,
+                       _MODEL_CODE[config.model_kind])
+    stats, recons, traces, crcs = [], [], [], []
+    prev_recon = key_recon = None
+    key_mask = None
+    for i, frame in enumerate(padded):
+        is_key = i % config.gf_group_size == 0
+        cur_mask = masks[i] if masks is not None else None
+        header = struct.pack("<BB", KEY_FRAME if is_key else INTER_FRAME,
+                             config.q_level)
+        ctx = _FrameCtx(pw, ph, config.q_step,
+                        KEY_FRAME if is_key else INTER_FRAME,
+                        rd_lambda=config.rd_lambda)
+        ctx.orig = {"y": frame.y, "u": frame.u, "v": frame.v}
+        if is_key:
+            ctx.motion = None
+            ref_mask = None
+        else:
+            m = _estimate_frame_motion(frame, key_recon, cur_mask, config)
+            header += struct.pack("<6i", *(int(round(v * 65536.0))
+                                           for v in m.as_tuple()))
+            warped = warp_frame(key_recon, m)
+            ctx.warped = {"y": warped.y, "u": warped.u, "v": warped.v}
+            ctx.prev_recon = {"y": prev_recon.y, "u": prev_recon.u,
+                              "v": prev_recon.v}
+            ctx.motion = m
+            ref_mask = key_mask
+
+        bw = BitWriter()
+        trace = []
+        for sy in range(0, ph, SUPERBLOCK):
+            for sx in range(0, pw, SUPERBLOCK):
+                rect = BlockRect(sx, sy, SUPERBLOCK)
+                tree, _, _ = _search_node(ctx, rect, config, cur_mask, ref_mask)
+                _apply_tree(ctx, tree, rect, bw, trace)
+        payload = bw.to_bytes()
+        out += header
+        out += struct.pack("<I", len(payload))
+        out += payload
+
+        recon = ctx.recon_frame(i, seq.width, seq.height)
+        crcs.append(_recon_crc(recon))
+        recons.append(recon)
+        traces.append(trace)
+        prev_recon = recon
+        if is_key:
+            key_recon = recon
+            key_mask = cur_mask
+        mode_counts = {m.name: 0 for m in BlockMode}
+        tex_area = 0
+        for rect, mode in trace:
+            mode_counts[mode.name] += 1
+            if mode == BlockMode.TEXTURE:
+                tex_area += rect.size * rect.size
+        stats.append(FrameStats(
+            frame_index=i,
+            frame_type="KEY" if is_key else "INTER",
+            bits=8 * (len(header) + 4 + len(payload)),
+            mode_counts=mode_counts,
+            texture_block_count=mode_counts["TEXTURE"],
+            texture_area_fraction=tex_area / (pw * ph),
+        ))
+    for crc in crcs:
+        out += struct.pack("<I", crc)
+    return EncodeResult(bitstream=bytes(out), frame_stats=stats,
+                        reconstructions=recons, traces=traces)
+
+
+def _recon_crc(f: Frame) -> int:
+    crc = zlib.crc32(f.y.tobytes())
+    crc = zlib.crc32(f.u.tobytes(), crc)
+    crc = zlib.crc32(f.v.tobytes(), crc)
+    return crc & 0xFFFFFFFF
+
+
+# ---------------------------------------------------------------------------
+# decoder
+
+
+def _decode_node(ctx: _FrameCtx, rect: BlockRect, br: BitReader):
+    if rect.x >= ctx.pw or rect.y >= ctx.ph:
+        return
+    boundary = rect.x + rect.size > ctx.pw or rect.y + rect.size > ctx.ph
+    split = boundary or (rect.size > MIN_BLOCK and br.read_bit() == 1)
+    if split:
+        half = rect.size // 2
+        for cy in (0, 1):
+            for cx in (0, 1):
+                _decode_node(ctx, BlockRect(rect.x + cx * half,
+                                            rect.y + cy * half, half), br)
+        return
+    leaf = _read_leaf(br, ctx, rect)
+    _apply_leaf(ctx, leaf, rect)
+
+
+def decode_sequence(data: bytes) -> DecodeResult:
+    hdr_size = struct.calcsize("<4sBHHHBB")
+    if len(data) < hdr_size:
+        raise BitstreamError("truncated file header")
+    magic, version, width, height, n_frames, gf, model_code = struct.unpack(
+        "<4sBHHHBB", data[:hdr_size])
+    if magic != MAGIC:
+        raise BitstreamError(f"bad magic {magic!r}")
+    if version != VERSION:
+        raise BitstreamError(f"unsupported bitstream version {version}")
+    if model_code not in _MODEL_FROM_CODE:
+        raise BitstreamError(f"unknown motion model code {model_code}")
+    pw, ph = pad16(width), pad16(height)
+    pos = hdr_size
+    prev_recon = key_recon = None
+    recons, frames = [], []
+    for i in range(n_frames):
+        if pos + 2 > len(data):
+            raise BitstreamError(f"truncated header of frame {i}")
+        ftype, q_level = struct.unpack_from("<BB", data, pos)
+        pos += 2
+        if ftype not in (KEY_FRAME, INTER_FRAME):
+            raise BitstreamError(f"bad frame type {ftype}")
+        if q_level < 1:
+            raise BitstreamError("bad q_level")
+        ctx = _FrameCtx(pw, ph, q_level, ftype)
+        if ftype == INTER_FRAME:
+            if i == 0 or key_recon is None:
+                raise BitstreamError("INTER frame without a key frame")
+            if pos + 24 > len(data):
+                raise BitstreamError(f"truncated motion header of frame {i}")
+            raw = struct.unpack_from("<6i", data, pos)
+            pos += 24
+            m = AffineMotion(*(v / 65536.0 for v in raw))
+            warped = warp_frame(key_recon, m)
+            ctx.warped = {"y": warped.y, "u": warped.u, "v": warped.v}
+            ctx.prev_recon = {"y": prev_recon.y, "u": prev_recon.u,
+                              "v": prev_recon.v}
+        if pos + 4 > len(data):
+            raise BitstreamError(f"truncated payload length of frame {i}")
+        (plen,) = struct.unpack_from("<I", data, pos)
+        pos += 4
+        if pos + plen > len(data):
+            raise BitstreamError(f"truncated payload of frame {i}")
+        br = BitReader(data[pos:pos + plen])
+        pos += plen
+        for sy in range(0, ph, SUPERBLOCK):
+            for sx in range(0, pw, SUPERBLOCK):
+                _decode_node(ctx, BlockRect(sx, sy, SUPERBLOCK), br)
+        recon = ctx.recon_frame(i, width, height)
+        recons.append(recon)
+        frames.append(crop_frame(recon, width, height))
+        prev_recon = recon
+        if ftype == KEY_FRAME:
+            key_recon = recon
+    if pos + 4 * n_frames > len(data):
+        raise BitstreamError("truncated CRC footer")
+    for i, recon in enumerate(recons):
+        (crc,) = struct.unpack_from("<I", data, pos + 4 * i)
+        if crc != _recon_crc(recon):
+            raise BitstreamError(f"reconstruction CRC mismatch at frame {i}")
+    return DecodeResult(sequence=Sequence(frames=tuple(frames)),
+                        reconstructions=recons)

@@ -1,0 +1,238 @@
+"""Rate-distortion evaluation: bits/frame, non-texture-region PSNR,
+Bjontegaard BD-RATE / BD-PSNR over 4-point curves, and data-rate-saving
+arithmetic."""
+
+from __future__ import annotations
+
+import os
+import warnings
+from dataclasses import dataclass
+
+import numpy as np
+
+from .analyzer import TextureMask
+from .codec import EncoderConfig, decode_sequence, encode_sequence
+from .datasets import NON_TEXTURE
+from .frames import BLOCK, Sequence, pad_frame
+
+PSNR_CAP = 100.0
+
+
+class MetricsError(ValueError):
+    pass
+
+
+@dataclass(frozen=True)
+class RDPoint:
+    rate: float  # bits/frame
+    psnr: float  # dB, non-texture-region PSNR
+
+    def __post_init__(self):
+        if self.rate <= 0:
+            raise MetricsError("rate must be positive")
+        if not np.isfinite(self.psnr):
+            raise MetricsError("psnr must be finite")
+
+
+@dataclass(frozen=True)
+class RDCurve:
+    """Exactly four RD points, sorted by strictly increasing rate."""
+
+    points: tuple[RDPoint, ...]
+
+    def __post_init__(self):
+        pts = tuple(sorted(self.points, key=lambda p: p.rate))
+        if len(pts) != 4:
+            raise MetricsError(f"an RD curve has 4 points, got {len(pts)}")
+        rates = [p.rate for p in pts]
+        if any(b <= a for a, b in zip(rates, rates[1:])):
+            raise MetricsError("rates must be strictly increasing")
+        object.__setattr__(self, "points", pts)
+
+    @property
+    def rates(self):
+        return np.array([p.rate for p in self.points])
+
+    @property
+    def psnrs(self):
+        return np.array([p.psnr for p in self.points])
+
+
+# ---------------------------------------------------------------------------
+# primitive metrics
+
+
+def psnr_nontexture(orig: Sequence, decoded: Sequence, masks) -> float:
+    """Pooled-MSE luma PSNR over pixels in non-texture cells of every frame.
+    Identical regions return the 100 dB cap."""
+    if len(orig) != len(decoded):
+        raise MetricsError("sequences differ in frame count")
+    if (orig.width, orig.height) != (decoded.width, decoded.height):
+        raise MetricsError("sequences differ in dimensions")
+    if len(masks) != len(orig):
+        raise MetricsError("need one mask per frame")
+    sse, count = 0, 0
+    for fo, fd, mask in zip(orig, decoded, masks):
+        fo, fd = pad_frame(fo), pad_frame(fd)
+        sel = np.kron(mask.labels == NON_TEXTURE,
+                      np.ones((BLOCK, BLOCK), dtype=bool))
+        if sel.shape != fo.y.shape:
+            raise MetricsError("mask grid does not match frame dimensions")
+        d = fo.y.astype(np.int64) - fd.y.astype(np.int64)
+        sse += int((d[sel] ** 2).sum())
+        count += int(sel.sum())
+    if count == 0:
+        raise MetricsError("empty evaluation region")
+    if sse == 0:
+        return PSNR_CAP
+    mse = sse / count
+    return min(10.0 * np.log10(255.0 ** 2 / mse), PSNR_CAP)
+
+
+def bits_per_frame(bitstream, frame_count: int) -> float:
+    """8 x file bytes / frames.  `bitstream` is a path or a bytes object."""
+    if frame_count < 1:
+        raise MetricsError("frame_count must be >= 1")
+    nbytes = (len(bitstream) if isinstance(bitstream, (bytes, bytearray))
+              else os.path.getsize(bitstream))
+    return 8.0 * nbytes / frame_count
+
+
+def data_rate_saving(rate_a: float, rate_b: float) -> tuple[float, str]:
+    """Relative saving of the smaller rate versus the larger, in percent.
+    Returns (percent, which) with which in {'first', 'second', 'equal'}."""
+    if rate_a <= 0 or rate_b <= 0:
+        raise MetricsError("rates must be positive")
+    hi, lo = max(rate_a, rate_b), min(rate_a, rate_b)
+    pct = (hi - lo) / hi * 100.0
+    which = "equal" if rate_a == rate_b else (
+        "first" if rate_a < rate_b else "second")
+    return pct, which
+
+
+# ---------------------------------------------------------------------------
+# Bjontegaard deltas (classic cubic-fit variant; piecewise-cubic switchable)
+
+
+def _check_monotone(curve: RDCurve):
+    p = curve.psnrs
+    if np.any(np.diff(p) <= 0):
+        warnings.warn("RD curve PSNR not strictly increasing with rate")
+
+
+def _avg_poly_diff(x1, y1, x2, y2, lo, hi, method):
+    """Average of (fit2 - fit1) over [lo, hi] in the x domain."""
+    if method == "cubic":
+        p1 = np.polyfit(x1, y1, 3)
+        p2 = np.polyfit(x2, y2, 3)
+        int1 = np.polyint(p1)
+        int2 = np.polyint(p2)
+        a1 = np.polyval(int1, hi) - np.polyval(int1, lo)
+        a2 = np.polyval(int2, hi) - np.polyval(int2, lo)
+    elif method == "pchip":
+        from scipy.interpolate import PchipInterpolator
+
+        o1, o2 = np.argsort(x1), np.argsort(x2)
+        a1 = PchipInterpolator(x1[o1], y1[o1]).integrate(lo, hi)
+        a2 = PchipInterpolator(x2[o2], y2[o2]).integrate(lo, hi)
+    else:
+        raise ValueError(f"unknown fit method {method!r}")
+    return (a2 - a1) / (hi - lo)
+
+
+def bd_rate(baseline: RDCurve, test: RDCurve, method: str = "cubic") -> float:
+    """Average rate change of `test` vs `baseline` in percent (negative =
+    savings), integrating cubic fits of log10(rate) over the common PSNR
+    interval."""
+    for c in (baseline, test):
+        _check_monotone(c)
+    lo = max(baseline.psnrs.min(), test.psnrs.min())
+    hi = min(baseline.psnrs.max(), test.psnrs.max())
+    if hi <= lo:
+        raise MetricsError("PSNR ranges do not overlap")
+    avg = _avg_poly_diff(baseline.psnrs, np.log10(baseline.rates),
+                         test.psnrs, np.log10(test.rates), lo, hi, method)
+    return (10.0 ** avg - 1.0) * 100.0
+
+
+def bd_psnr(baseline: RDCurve, test: RDCurve, method: str = "cubic") -> float:
+    """Average PSNR change of `test` vs `baseline` in dB (positive = gain),
+    integrating cubic fits of PSNR over the common log10(rate) interval."""
+    for c in (baseline, test):
+        _check_monotone(c)
+    lb, lt = np.log10(baseline.rates), np.log10(test.rates)
+    lo = max(lb.min(), lt.min())
+    hi = min(lb.max(), lt.max())
+    if hi <= lo:
+        raise MetricsError("rate ranges do not overlap")
+    return float(_avg_poly_diff(lb, baseline.psnrs, lt, test.psnrs,
+                                lo, hi, method))
+
+
+# ---------------------------------------------------------------------------
+# full sweep
+
+
+DEFAULT_Q_LEVELS = (16, 24, 28, 32)
+
+
+def rd_sweep(seq: Sequence, masks, q_levels=DEFAULT_Q_LEVELS,
+             base_config: EncoderConfig | None = None) -> dict:
+    """Encode at each q level with texture mode off (baseline) and on
+    (proposed), measure (bits/frame, non-texture PSNR), and report both
+    curves, BD deltas and per-level savings as a JSON-ready dict."""
+    if base_config is None:
+        base_config = EncoderConfig()
+    levels = []
+    for q in q_levels:
+        row = {"q_level": q}
+        for name, texture_mode in (("baseline", False), ("texture", True)):
+            cfg = EncoderConfig(
+                q_level=q, gf_group_size=base_config.gf_group_size,
+                texture_mode=texture_mode, model_kind=base_config.model_kind,
+                search_range=base_config.search_range,
+                motion_seed=base_config.motion_seed)
+            enc = encode_sequence(seq, masks, cfg)
+            dec = decode_sequence(enc.bitstream)
+            row[f"rate_{name}"] = bits_per_frame(enc.bitstream, len(seq))
+            row[f"psnr_{name}"] = psnr_nontexture(seq, dec.sequence, masks)
+        pct, which = data_rate_saving(row["rate_baseline"], row["rate_texture"])
+        row["saving_percent"] = pct
+        row["smaller_rate"] = {"first": "baseline", "second": "texture",
+                               "equal": "equal"}[which]
+        levels.append(row)
+    base_curve = RDCurve(tuple(
+        RDPoint(r["rate_baseline"], r["psnr_baseline"]) for r in levels))
+    test_curve = RDCurve(tuple(
+        RDPoint(r["rate_texture"], r["psnr_texture"]) for r in levels))
+    return {
+        "q_levels": list(q_levels),
+        "levels": levels,
+        "baseline_curve": [{"rate": p.rate, "psnr": p.psnr}
+                           for p in base_curve.points],
+        "texture_curve": [{"rate": p.rate, "psnr": p.psnr}
+                          for p in test_curve.points],
+        "bd_rate_percent": bd_rate(base_curve, test_curve),
+        "bd_psnr_db": bd_psnr(base_curve, test_curve),
+    }
+
+
+def curve_from_json(points) -> RDCurve:
+    return RDCurve(tuple(RDPoint(p["rate"], p["psnr"]) for p in points))
+
+
+def format_report(report: dict) -> str:
+    """Text table mirroring the per-q-level savings layout."""
+    lines = [
+        f"{'Q':>3} {'rate baseline':>14} {'rate texture':>13} "
+        f"{'psnr base':>10} {'psnr tex':>9} {'saving %':>9}"
+    ]
+    for row in report["levels"]:
+        lines.append(
+            f"{row['q_level']:>3} {row['rate_baseline']:>14.1f} "
+            f"{row['rate_texture']:>13.1f} {row['psnr_baseline']:>10.3f} "
+            f"{row['psnr_texture']:>9.3f} {row['saving_percent']:>9.2f}"
+        )
+    lines.append(f"BD-RATE: {report['bd_rate_percent']:+.2f} %   "
+                 f"BD-PSNR: {report['bd_psnr_db']:+.3f} dB")
+    return "\n".join(lines)

@@ -1,0 +1,420 @@
+"""Texture motion estimation and frame warping.
+
+An AffineMotion maps current-frame luma coordinates into the reference
+frame: (x', y') = (a11*x + a12*y + tx, a21*x + a22*y + ty).  Estimation
+collects one translational correspondence per texture cell by diamond-search
+block matching (SAD on 16x16 luma, range +-32) with parabolic sub-pixel
+refinement, then fits the requested model with RANSAC and a least-squares
+refit on the inliers.  Synthesis warps the reference with bilinear
+interpolation, clamping out-of-bounds samples to the frame edge.
+"""
+
+from __future__ import annotations
+
+import enum
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .analyzer import TextureMask
+from .datasets import TEXTURE
+from .frames import BLOCK, Frame
+
+DET_MIN, DET_MAX = 0.25, 4.0
+
+
+class MotionError(ValueError):
+    pass
+
+
+class MotionModelKind(enum.Enum):
+    TRANSLATION = "translation"
+    ROTZOOM = "rotzoom"
+    AFFINE = "affine"
+
+
+@dataclass(frozen=True)
+class AffineMotion:
+    a11: float = 1.0
+    a12: float = 0.0
+    a21: float = 0.0
+    a22: float = 1.0
+    tx: float = 0.0
+    ty: float = 0.0
+
+    def __post_init__(self):
+        if not all(np.isfinite(v) for v in self.as_tuple()):
+            raise MotionError("non-finite motion parameters")
+
+    def as_tuple(self):
+        return (self.a11, self.a12, self.a21, self.a22, self.tx, self.ty)
+
+    @property
+    def det(self) -> float:
+        return self.a11 * self.a22 - self.a12 * self.a21
+
+    def apply(self, x, y):
+        """Map coordinates (arrays or scalars) into the reference frame."""
+        return (
+            self.a11 * x + self.a12 * y + self.tx,
+            self.a21 * x + self.a22 * y + self.ty,
+        )
+
+    @classmethod
+    def identity(cls):
+        return cls()
+
+    @classmethod
+    def translation(cls, tx, ty):
+        return cls(tx=float(tx), ty=float(ty))
+
+    def quantized_q16(self) -> "AffineMotion":
+        """Round parameters to the Q16.16 grid used in frame headers."""
+        q = [round(v * 65536.0) / 65536.0 for v in self.as_tuple()]
+        return AffineMotion(*q)
+
+
+@dataclass
+class EstimationConfig:
+    search_range: int = 32
+    ransac_threshold: float = 1.5
+    ransac_iterations: int = 200
+    rng_seed: int = 1234
+
+
+@dataclass
+class MotionStats:
+    n_cells: int = 0
+    n_inliers: int = 0
+    inlier_fraction: float = 0.0
+    mean_residual: float = 0.0
+    fallback_translation: bool = False
+
+    def as_dict(self):
+        return dict(self.__dict__)
+
+
+# ---------------------------------------------------------------------------
+# block matching
+
+
+def _sad(a: np.ndarray, b: np.ndarray) -> int:
+    return int(np.abs(a.astype(np.int32) - b.astype(np.int32)).sum())
+
+
+_LARGE_DIAMOND = ((0, 0), (2, 0), (-2, 0), (0, 2), (0, -2),
+                  (1, 1), (1, -1), (-1, 1), (-1, -1))
+_SMALL_DIAMOND = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))
+
+
+def diamond_search(cur_block: np.ndarray, ref_y: np.ndarray, x0: int, y0: int,
+                   search_range: int = 32,
+                   start: tuple[int, int] = (0, 0)) -> tuple[int, int, dict]:
+    """Find the integer displacement minimizing SAD around (x0, y0).
+
+    Classic large/small diamond pattern, displacement bounded to
+    +-search_range and to positions fully inside the reference plane; the
+    walk begins at the better of (0, 0) and `start` (a motion predictor).
+    Returns (dx, dy, sad_cache) where sad_cache maps displacement -> SAD.
+    """
+    s = cur_block.shape[0]
+    h, w = ref_y.shape
+    cache: dict[tuple[int, int], int] = {}
+
+    def cost(dx, dy):
+        if max(abs(dx), abs(dy)) > search_range:
+            return None
+        x, y = x0 + dx, y0 + dy
+        if x < 0 or y < 0 or x + s > w or y + s > h:
+            return None
+        key = (dx, dy)
+        if key not in cache:
+            cache[key] = _sad(cur_block, ref_y[y:y + s, x:x + s])
+        return cache[key]
+
+    best = (0, 0)
+    best_cost = cost(0, 0)
+    if best_cost is None:
+        raise MotionError("search origin outside reference frame")
+    if start != (0, 0):
+        c = cost(*start)
+        if c is not None and c < best_cost:
+            best_cost, best = c, start
+    # large diamond until the center wins
+    while True:
+        center = best
+        for dx, dy in _LARGE_DIAMOND[1:]:
+            c = cost(center[0] + dx, center[1] + dy)
+            if c is not None and c < best_cost:
+                best_cost, best = c, (center[0] + dx, center[1] + dy)
+        if best == center:
+            break
+    for dx, dy in _SMALL_DIAMOND[1:]:
+        c = cost(best[0] + dx, best[1] + dy)
+        if c is not None and c < best_cost:
+            best_cost, best = c, (best[0] + dx, best[1] + dy)
+    return best[0], best[1], cache
+
+
+def _parabolic_offset(sm, s0, sp) -> float:
+    denom = sm - 2.0 * s0 + sp
+    if denom <= 0:
+        return 0.0
+    return float(np.clip(0.5 * (sm - sp) / denom, -0.5, 0.5))
+
+
+def _subpel(dx, dy, cache):
+    """Refine an integer displacement with a 3-point parabola per axis."""
+    fx = fy = 0.0
+    if (dx - 1, dy) in cache and (dx + 1, dy) in cache:
+        fx = _parabolic_offset(cache[(dx - 1, dy)], cache[(dx, dy)],
+                               cache[(dx + 1, dy)])
+    if (dx, dy - 1) in cache and (dx, dy + 1) in cache:
+        fy = _parabolic_offset(cache[(dx, dy - 1)], cache[(dx, dy)],
+                               cache[(dx, dy + 1)])
+    return dx + fx, dy + fy
+
+
+def coarse_translation(cur: Frame, ref: Frame, cur_mask: TextureMask,
+                       search_range: int = 32) -> tuple[int, int]:
+    """Full-search translation of the texture region at quarter resolution;
+    used to seed the per-cell diamond searches."""
+    f = 4
+    h4, w4 = cur.height // f, cur.width // f
+    if h4 < 2 or w4 < 2:
+        return (0, 0)
+
+    def down(y):
+        return y[:h4 * f, :w4 * f].astype(np.float64).reshape(
+            h4, f, w4, f).mean(axis=(1, 3))
+
+    cur4, ref4 = down(cur.y), down(ref.y)
+    sel = np.kron(cur_mask.labels == TEXTURE,
+                  np.ones((BLOCK // f, BLOCK // f), dtype=bool))[:h4, :w4]
+    if not sel.any():
+        return (0, 0)
+    r = max(search_range // f, 1)
+    best, best_cost = (0, 0), None
+    for dy in range(-r, r + 1):
+        for dx in range(-r, r + 1):
+            ys = slice(max(0, -dy), min(h4, h4 - dy))
+            xs = slice(max(0, -dx), min(w4, w4 - dx))
+            m = sel[ys, xs]
+            n = int(m.sum())
+            if n < 16:
+                continue
+            d = np.abs(cur4[ys, xs][m]
+                       - ref4[ys.start + dy:ys.stop + dy,
+                              xs.start + dx:xs.stop + dx][m])
+            cost = d.sum() / n
+            if best_cost is None or cost < best_cost:
+                best_cost, best = cost, (dx * f, dy * f)
+    return best
+
+
+def collect_correspondences(cur: Frame, ref: Frame, cur_mask: TextureMask,
+                            config: EstimationConfig, predictor=None):
+    """One (src, dst) point pair per texture cell, in cell raster order.
+    `predictor(x, y) -> (dx, dy)` seeds the search at each cell center."""
+    src, dst = [], []
+    for gy in range(cur_mask.grid_h):
+        for gx in range(cur_mask.grid_w):
+            if cur_mask.labels[gy, gx] != TEXTURE:
+                continue
+            x0, y0 = gx * BLOCK, gy * BLOCK
+            block = cur.y[y0:y0 + BLOCK, x0:x0 + BLOCK]
+            start = (0, 0) if predictor is None else predictor(x0, y0)
+            dx, dy, cache = diamond_search(block, ref.y, x0, y0,
+                                           config.search_range, start=start)
+            # refine the neighborhood needed by the parabola
+            for nb in ((dx - 1, dy), (dx + 1, dy), (dx, dy - 1), (dx, dy + 1)):
+                x, y = x0 + nb[0], y0 + nb[1]
+                if (nb not in cache and max(abs(nb[0]), abs(nb[1])) <= config.search_range
+                        and 0 <= x and 0 <= y
+                        and x + BLOCK <= ref.width and y + BLOCK <= ref.height):
+                    cache[nb] = _sad(block, ref.y[y:y + BLOCK, x:x + BLOCK])
+            fdx, fdy = _subpel(dx, dy, cache)
+            cx, cy = x0 + (BLOCK - 1) / 2.0, y0 + (BLOCK - 1) / 2.0
+            src.append((cx, cy))
+            dst.append((cx + fdx, cy + fdy))
+    return np.asarray(src, dtype=np.float64), np.asarray(dst, dtype=np.float64)
+
+
+# ---------------------------------------------------------------------------
+# model fitting
+
+
+def _fit_translation(src, dst) -> AffineMotion:
+    t = (dst - src).mean(axis=0)
+    return AffineMotion.translation(t[0], t[1])
+
+
+def _fit_rotzoom(src, dst) -> AffineMotion:
+    # x' = a*x + b*y + tx ; y' = -b*x + a*y + ty
+    n = len(src)
+    A = np.zeros((2 * n, 4))
+    rhs = np.empty(2 * n)
+    A[0::2, 0] = src[:, 0]
+    A[0::2, 1] = src[:, 1]
+    A[0::2, 2] = 1.0
+    A[1::2, 0] = src[:, 1]
+    A[1::2, 1] = -src[:, 0]
+    A[1::2, 3] = 1.0
+    rhs[0::2] = dst[:, 0]
+    rhs[1::2] = dst[:, 1]
+    sol, *_ = np.linalg.lstsq(A, rhs, rcond=None)
+    a, b, tx, ty = sol
+    return AffineMotion(a11=a, a12=b, a21=-b, a22=a, tx=tx, ty=ty)
+
+
+def _fit_affine(src, dst) -> AffineMotion:
+    n = len(src)
+    A = np.column_stack([src[:, 0], src[:, 1], np.ones(n)])
+    sx, *_ = np.linalg.lstsq(A, dst[:, 0], rcond=None)
+    sy, *_ = np.linalg.lstsq(A, dst[:, 1], rcond=None)
+    return AffineMotion(a11=sx[0], a12=sx[1], a21=sy[0], a22=sy[1],
+                        tx=sx[2], ty=sy[2])
+
+
+_FITTERS = {
+    MotionModelKind.TRANSLATION: (_fit_translation, 1),
+    MotionModelKind.ROTZOOM: (_fit_rotzoom, 2),
+    MotionModelKind.AFFINE: (_fit_affine, 3),
+}
+
+
+def _residuals(m: AffineMotion, src, dst) -> np.ndarray:
+    px, py = m.apply(src[:, 0], src[:, 1])
+    return np.hypot(px - dst[:, 0], py - dst[:, 1])
+
+
+def fit_motion_ransac(src, dst, kind: MotionModelKind,
+                      config: EstimationConfig) -> tuple[AffineMotion, np.ndarray]:
+    """RANSAC + least-squares refit; returns (model, inlier bool mask)."""
+    fitter, min_pts = _FITTERS[kind]
+    n = len(src)
+    if n < min_pts:
+        raise MotionError(f"{kind.value} fit needs >= {min_pts} points, got {n}")
+    rng = np.random.default_rng(config.rng_seed)
+    best_inliers = None
+    best_count = -1
+    for _ in range(config.ransac_iterations):
+        idx = rng.choice(n, size=min_pts, replace=False)
+        try:
+            cand = fitter(src[idx], dst[idx])
+        except (MotionError, np.linalg.LinAlgError):
+            continue
+        inl = _residuals(cand, src, dst) <= config.ransac_threshold
+        if inl.sum() > best_count:
+            best_count, best_inliers = int(inl.sum()), inl
+    if best_inliers is None or best_count < min_pts:
+        best_inliers = np.ones(n, dtype=bool)
+    model = fitter(src[best_inliers], dst[best_inliers])
+    # one re-selection pass after the refit
+    inl = _residuals(model, src, dst) <= config.ransac_threshold
+    if inl.sum() >= min_pts:
+        model = fitter(src[inl], dst[inl])
+        best_inliers = inl
+    return model, best_inliers
+
+
+def estimate_texture_motion(cur: Frame, ref: Frame, cur_mask: TextureMask,
+                            kind: MotionModelKind = MotionModelKind.ROTZOOM,
+                            config: EstimationConfig | None = None,
+                            ) -> tuple[AffineMotion, MotionStats]:
+    """Fit the texture motion of `cur` relative to `ref` using only the
+    texture cells of `cur_mask`.  Falls back to TRANSLATION when there are
+    fewer than 6 texture cells or the fit is degenerate."""
+    if config is None:
+        config = EstimationConfig()
+    n_cells = int(np.sum(cur_mask.labels == TEXTURE))
+    if n_cells < 1:
+        raise MotionError("no texture region")
+    stats = MotionStats(n_cells=n_cells)
+    if n_cells < 6 and kind is not MotionModelKind.TRANSLATION:
+        kind = MotionModelKind.TRANSLATION
+        stats.fallback_translation = True
+
+    seed = coarse_translation(cur, ref, cur_mask, config.search_range)
+    src, dst = collect_correspondences(cur, ref, cur_mask, config,
+                                       predictor=lambda x, y: seed)
+    model, inliers = fit_motion_ransac(src, dst, kind, config)
+
+    # second pass: re-search each cell around the fitted model's prediction,
+    # which handles displacement fields that vary across the frame
+    def model_predictor(x, y):
+        cx, cy = x + (BLOCK - 1) / 2.0, y + (BLOCK - 1) / 2.0
+        px, py = model.apply(cx, cy)
+        return int(round(px - cx)), int(round(py - cy))
+
+    src2, dst2 = collect_correspondences(cur, ref, cur_mask, config,
+                                         predictor=model_predictor)
+    model2, inliers2 = fit_motion_ransac(src2, dst2, kind, config)
+    if inliers2.sum() >= inliers.sum():
+        model, inliers, src, dst = model2, inliers2, src2, dst2
+
+    if not (DET_MIN <= abs(model.det) <= DET_MAX):
+        model, inliers = fit_motion_ransac(src, dst,
+                                           MotionModelKind.TRANSLATION, config)
+        stats.fallback_translation = True
+    stats.n_inliers = int(inliers.sum())
+    stats.inlier_fraction = stats.n_inliers / max(len(src), 1)
+    res = _residuals(model, src[inliers], dst[inliers])
+    stats.mean_residual = float(res.mean()) if len(res) else 0.0
+    return model, stats
+
+
+# ---------------------------------------------------------------------------
+# warping
+
+
+def bilinear_sample(plane: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Bilinear interpolation with edge clamping; returns uint8."""
+    h, w = plane.shape
+    xs = np.clip(xs, 0.0, w - 1.0)
+    ys = np.clip(ys, 0.0, h - 1.0)
+    x0 = np.floor(xs).astype(np.int64)
+    y0 = np.floor(ys).astype(np.int64)
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    fx = xs - x0
+    fy = ys - y0
+    p = plane.astype(np.float64)
+    val = (
+        p[y0, x0] * (1 - fx) * (1 - fy)
+        + p[y0, x1] * fx * (1 - fy)
+        + p[y1, x0] * (1 - fx) * fy
+        + p[y1, x1] * fx * fy
+    )
+    return np.clip(np.rint(val), 0, 255).astype(np.uint8)
+
+
+def chroma_motion(m: AffineMotion) -> AffineMotion:
+    """Chroma-plane motion: same linear part, halved translation."""
+    return AffineMotion(m.a11, m.a12, m.a21, m.a22, m.tx / 2.0, m.ty / 2.0)
+
+
+def warp_frame(ref: Frame, m: AffineMotion) -> Frame:
+    """Warp the whole reference frame: out[x, y] = ref[m(x, y)]."""
+    h, w = ref.height, ref.width
+    yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
+    px, py = m.apply(xx, yy)
+    y = bilinear_sample(ref.y, px, py)
+    mc = chroma_motion(m)
+    ch, cw = ref.u.shape
+    cyy, cxx = np.mgrid[0:ch, 0:cw].astype(np.float64)
+    cpx, cpy = mc.apply(cxx, cyy)
+    u = bilinear_sample(ref.u, cpx, cpy)
+    v = bilinear_sample(ref.v, cpx, cpy)
+    return Frame(y=y, u=u, v=v, frame_index=ref.frame_index,
+                 orig_width=ref.orig_width, orig_height=ref.orig_height)
+
+
+def warp_rect(m: AffineMotion, rect) -> tuple[tuple[float, float], ...]:
+    """Map the four (inclusive) corners of a block into the reference."""
+    x0, y0 = rect.x, rect.y
+    x1, y1 = rect.x + rect.size - 1, rect.y + rect.size - 1
+    return tuple(
+        m.apply(float(x), float(y))
+        for x, y in ((x0, y0), (x1, y0), (x0, y1), (x1, y1))
+    )
