@@ -1,15 +1,45 @@
-"""Bit-level I/O with Exp-Golomb codes, used by the bitstream codec."""
+"""Bit-level I/O with Exp-Golomb codes, used by the bitstream codec.
+
+ue(v) is v+1 written in 2*bitlen(v+1)-1 bits: bitlen(v+1)-1 zeros, then
+v+1 itself.  se(v) is ue of v>0 -> 2v-1, v<=0 -> -2v, which is
+2*bitlen(|v|)+1 bits long.  `ue_bits` and `se_bits` give those lengths
+without writing anything.
+"""
 
 from __future__ import annotations
+
+import numpy as np
+
+# Longest ue() prefix a reader accepts: 32 zeros (values below 2**33 - 1).
+MAX_UE_ZEROS = 32
+# Bytes peeked to parse one ue(): the longest code (2*32+1 bits) starting
+# at any bit offset inside the first byte.
+_UE_PEEK_BYTES = (2 * MAX_UE_ZEROS + 1 + 7 + 7) // 8
 
 
 class BitstreamError(ValueError):
     pass
 
 
+def ue_bits(value: int) -> int:
+    """Length in bits of ue(value)."""
+    return 2 * (value + 1).bit_length() - 1
+
+
+def se_bits(value: int) -> int:
+    """Length in bits of se(value)."""
+    return 2 * abs(value).bit_length() + 1
+
+
+def bit_length_array(values: np.ndarray) -> np.ndarray:
+    """`int.bit_length` of each non-negative integer below 2**53."""
+    # frexp's exponent of a positive integer is its bit length, and 0 for 0
+    return np.frexp(values)[1]
+
+
 class BitWriter:
-    """MSB-first bit accumulator.  Also used in trial mode during RD search:
-    `bits_written` is exact before flushing."""
+    """MSB-first bit writer.  Each codeword is shifted into an integer
+    accumulator in one step; whole bytes are flushed to the output."""
 
     def __init__(self):
         self._bytes = bytearray()
@@ -17,30 +47,33 @@ class BitWriter:
         self._nacc = 0
         self.bits_written = 0
 
+    def _put(self, value: int, n: int) -> None:
+        """Append the n-bit codeword `value` (already known to fit)."""
+        acc = (self._acc << n) | value
+        nacc = self._nacc + n
+        self.bits_written += n
+        if nacc >= 64:
+            keep = nacc & 7
+            self._bytes += (acc >> keep).to_bytes(nacc >> 3, "big")
+            acc &= (1 << keep) - 1
+            nacc = keep
+        self._acc = acc
+        self._nacc = nacc
+
     def write_bit(self, b: int) -> None:
-        self._acc = (self._acc << 1) | (b & 1)
-        self._nacc += 1
-        self.bits_written += 1
-        if self._nacc == 8:
-            self._bytes.append(self._acc)
-            self._acc = 0
-            self._nacc = 0
+        self._put(b & 1, 1)
 
     def write_bits(self, value: int, n: int) -> None:
-        if value < 0 or (n < 64 and value >> n):
+        if value < 0 or value >> n:
             raise ValueError(f"value {value} does not fit in {n} bits")
-        for i in range(n - 1, -1, -1):
-            self.write_bit((value >> i) & 1)
+        self._put(value, n)
 
     def write_ue(self, value: int) -> None:
         """Unsigned Exp-Golomb."""
         if value < 0:
             raise ValueError("ue() needs a non-negative value")
         v = value + 1
-        nbits = v.bit_length()
-        for _ in range(nbits - 1):
-            self.write_bit(0)
-        self.write_bits(v, nbits)
+        self._put(v, 2 * v.bit_length() - 1)
 
     def write_se(self, value: int) -> None:
         """Signed Exp-Golomb: v>0 -> 2v-1, v<=0 -> -2v."""
@@ -48,41 +81,51 @@ class BitWriter:
 
     def to_bytes(self) -> bytes:
         """Flush, padding the final byte with zero bits."""
-        out = bytes(self._bytes)
-        if self._nacc:
-            out += bytes([self._acc << (8 - self._nacc)])
-        return out
+        nacc = self._nacc
+        pad = -nacc & 7
+        return bytes(self._bytes) + (self._acc << pad).to_bytes(
+            (nacc + pad) >> 3, "big")
 
 
 class BitReader:
+    """MSB-first bit reader.  Multi-bit reads take their bits from one
+    peeked word instead of bit by bit."""
+
     def __init__(self, data: bytes):
         self._data = data
+        self._nbits = 8 * len(data)
         self._pos = 0  # bit position
 
     def read_bit(self) -> int:
-        byte = self._pos >> 3
-        if byte >= len(self._data):
+        pos = self._pos
+        if pos >= self._nbits:
             raise BitstreamError("bitstream exhausted")
-        b = (self._data[byte] >> (7 - (self._pos & 7))) & 1
-        self._pos += 1
-        return b
+        self._pos = pos + 1
+        return (self._data[pos >> 3] >> (7 - (pos & 7))) & 1
 
     def read_bits(self, n: int) -> int:
-        v = 0
-        for _ in range(n):
-            v = (v << 1) | self.read_bit()
-        return v
+        pos = self._pos
+        end = pos + n
+        if end > self._nbits:
+            raise BitstreamError("bitstream exhausted")
+        self._pos = end
+        word = int.from_bytes(self._data[pos >> 3:(end + 7) >> 3], "big")
+        return (word >> (-end & 7)) & ((1 << n) - 1)
 
     def read_ue(self) -> int:
-        zeros = 0
-        while self.read_bit() == 0:
-            zeros += 1
-            if zeros > 64:
-                raise BitstreamError("malformed Exp-Golomb code")
-        v = 1
-        for _ in range(zeros):
-            v = (v << 1) | self.read_bit()
-        return v - 1
+        pos = self._pos
+        start = pos >> 3
+        chunk = self._data[start:start + _UE_PEEK_BYTES]
+        avail = 8 * len(chunk) - (pos & 7)
+        word = int.from_bytes(chunk, "big") & ((1 << avail) - 1)
+        zeros = avail - word.bit_length()
+        if zeros > MAX_UE_ZEROS:
+            raise BitstreamError("malformed Exp-Golomb code")
+        n = 2 * zeros + 1
+        if n > avail:
+            raise BitstreamError("bitstream exhausted")
+        self._pos = pos + n
+        return (word >> (avail - n)) - 1
 
     def read_se(self) -> int:
         u = self.read_ue()

@@ -19,7 +19,8 @@ from enum import IntEnum
 import numpy as np
 
 from .analyzer import TextureMask, all_texture_mask
-from .bitio import BitReader, BitstreamError, BitWriter
+from .bitio import (BitReader, BitstreamError, BitWriter, bit_length_array,
+                    se_bits, ue_bits)
 from .datasets import TEXTURE as TEXTURE_LABEL
 from .frames import BLOCK, BlockRect, Frame, Sequence, crop_frame, pad16, pad_frame
 from .motion import (AffineMotion, EstimationConfig, MotionError,
@@ -33,6 +34,10 @@ SUPERBLOCK = 64
 MIN_BLOCK = 16
 LUMA_TU = 16
 CHROMA_TU = 8
+# Largest |level| of a quantized coefficient: a residual sample is at most
+# 255 in magnitude, so an orthonormal 16x16 DCT coefficient is at most
+# 255 * 16, and q_step >= 1.
+MAX_LEVEL = 255 * LUMA_TU
 
 _MODEL_CODE = {MotionModelKind.TRANSLATION: 0, MotionModelKind.ROTZOOM: 1,
                MotionModelKind.AFFINE: 2}
@@ -139,6 +144,8 @@ class _Leaf:
     mv: tuple[int, int] | None = None
     # plane -> list of quantized level arrays, TU raster order
     levels: dict = field(default_factory=dict)
+    # plane -> reconstructed block, kept by the RD search for emission
+    recon: dict | None = None
 
 
 class _FrameCtx:
@@ -210,32 +217,58 @@ def _tu_grid(plane, rect):
     return [(x + j, y + i, tu) for i in range(0, s, tu) for j in range(0, s, tu)]
 
 
-def _apply_leaf(ctx: _FrameCtx, leaf: _Leaf, rect: BlockRect) -> None:
-    """Reconstruct a leaf into the working recon planes from its coded
-    levels; identical on encoder and decoder."""
+def _reconstruct_leaf(ctx: _FrameCtx, leaf: _Leaf, rect: BlockRect) -> dict:
+    """A leaf's reconstructed block per plane, from its coded levels;
+    identical on encoder and decoder.  Reads the working recon planes only
+    outside `rect` (the INTRA_DC neighbours)."""
+    out = {}
     for plane in ("y", "u", "v"):
-        pred = _prediction(ctx, leaf, rect, plane)
-        x, y, s = _plane_rect(plane, rect)
-        if leaf.mode == BlockMode.TEXTURE:
-            recon = pred
-        else:
-            recon = pred.copy()
+        recon = _prediction(ctx, leaf, rect, plane)
+        if leaf.mode != BlockMode.TEXTURE:
+            x, y, _ = _plane_rect(plane, rect)
             tu = LUMA_TU if plane == "y" else CHROMA_TU
             for k, (tx, ty, _) in enumerate(_tu_grid(plane, rect)):
                 res = reconstruct_residual(leaf.levels[plane][k], ctx.q_step)
                 recon[ty - y:ty - y + tu, tx - x:tx - x + tu] += res
-        ctx.recon[plane][y:y + s, x:x + s] = np.clip(recon, 0, 255).astype(np.uint8)
+        out[plane] = np.clip(recon, 0, 255).astype(np.uint8)
+    return out
+
+
+def _apply_leaf(ctx: _FrameCtx, leaf: _Leaf, rect: BlockRect) -> None:
+    """Reconstruct a leaf into the working recon planes."""
+    _restore(ctx, rect, _reconstruct_leaf(ctx, leaf, rect))
+
+
+def _nonzero_levels(levels: np.ndarray):
+    """Zig-zag positions and values of a TU's nonzero levels."""
+    flat = scan(levels)
+    pos = np.flatnonzero(flat)
+    return pos, flat[pos]
 
 
 def _write_coeffs(bw: BitWriter, levels: np.ndarray) -> None:
-    flat = scan(levels)
-    nz = np.flatnonzero(flat)
-    bw.write_ue(len(nz))
+    pos, vals = _nonzero_levels(levels)
+    bw.write_ue(len(pos))
     prev = -1
-    for pos in nz:
-        bw.write_ue(int(pos) - prev - 1)
-        bw.write_se(int(flat[pos]))
-        prev = int(pos)
+    for p, v in zip(pos.tolist(), vals.tolist()):
+        bw.write_ue(p - prev - 1)
+        bw.write_se(v)
+        prev = p
+
+
+def _coeff_bits(levels: np.ndarray) -> int:
+    """Bits `_write_coeffs` writes for one TU: ue(count), then for each
+    nonzero level ue(run) + se(level), which is
+    (2*bitlen(run+1) - 1) + (2*bitlen(|level|) + 1) bits."""
+    pos, vals = _nonzero_levels(levels)
+    n = len(pos)
+    if not n:
+        return ue_bits(0)
+    args = np.empty(2 * n, np.int64)  # run + 1 of each level, then |level|
+    args[0] = pos[0] + 1
+    np.subtract(pos[1:], pos[:-1], out=args[1:n])
+    np.abs(vals, out=args[n:])
+    return ue_bits(n) + 2 * int(bit_length_array(args).sum())
 
 
 def _read_coeffs(br: BitReader, n: int) -> np.ndarray:
@@ -248,7 +281,10 @@ def _read_coeffs(br: BitReader, n: int) -> np.ndarray:
         pos += br.read_ue() + 1
         if pos >= n * n:
             raise BitstreamError("coefficient position out of range")
-        flat[pos] = br.read_se()
+        level = br.read_se()
+        if abs(level) > MAX_LEVEL:
+            raise BitstreamError("coefficient level out of range")
+        flat[pos] = level
     return unscan(flat, n)
 
 
@@ -301,21 +337,26 @@ def _build_leaf(ctx: _FrameCtx, mode: BlockMode, rect: BlockRect,
     for plane in ("y", "u", "v"):
         pred = _prediction(ctx, leaf, rect, plane)
         x, y, s = _plane_rect(plane, rect)
-        orig = ctx.orig[plane][y:y + s, x:x + s].astype(np.int64)
+        res = ctx.orig[plane][y:y + s, x:x + s].astype(np.int64) - pred
         tu = LUMA_TU if plane == "y" else CHROMA_TU
-        leaf.levels[plane] = []
-        for tx, ty, _ in _tu_grid(plane, rect):
-            res = (orig - pred)[ty - y:ty - y + tu, tx - x:tx - x + tu]
-            leaf.levels[plane].append(transform_quantize(res, ctx.q_step))
+        leaf.levels[plane] = [
+            transform_quantize(res[ty - y:ty - y + tu, tx - x:tx - x + tu],
+                               ctx.q_step)
+            for tx, ty, _ in _tu_grid(plane, rect)]
     return leaf
 
 
 def _leaf_bits(leaf: _Leaf, rect: BlockRect, with_flag: bool) -> int:
-    bw = BitWriter()
-    if with_flag:
-        bw.write_bit(0)
-    _write_leaf(bw, leaf, rect)
-    return bw.bits_written
+    """Bits `_write_leaf` writes for `leaf`, plus its split flag when
+    `with_flag`, counted from the code lengths without writing them."""
+    bits = int(with_flag) + 2
+    if leaf.mode == BlockMode.TEXTURE:
+        return bits
+    if leaf.mode == BlockMode.INTER_MV:
+        bits += se_bits(leaf.mv[0]) + se_bits(leaf.mv[1])
+    for plane in ("y", "u", "v"):
+        bits += sum(_coeff_bits(lv) for lv in leaf.levels[plane])
+    return bits
 
 
 def _block_ssd(ctx: _FrameCtx, rect: BlockRect) -> int:
@@ -337,14 +378,16 @@ def _snapshot(ctx, rect):
 
 
 def _restore(ctx, rect, snap):
+    """Write per-plane blocks (a snapshot or a leaf's reconstruction)."""
     for plane in ("y", "u", "v"):
         x, y, s = _plane_rect(plane, rect)
         ctx.recon[plane][y:y + s, x:x + s] = snap[plane]
 
 
 def _apply_tree(ctx, tree, rect, bw=None, trace=None):
-    """Reconstruct (and optionally emit) a decided tree.  `tree` is either a
-    _Leaf, ('split', [children]) or None (node outside the frame)."""
+    """Paste the reconstruction the search kept for each leaf of a decided
+    tree (and optionally emit the tree).  `tree` is either a _Leaf,
+    ('split', [children]) or None (node outside the frame)."""
     if tree is None:
         return
     if isinstance(tree, tuple) and tree[0] == "split":
@@ -363,14 +406,14 @@ def _apply_tree(ctx, tree, rect, bw=None, trace=None):
         bw.write_bit(0)
     if bw is not None:
         _write_leaf(bw, tree, rect)
-    _apply_leaf(ctx, tree, rect)
+    _restore(ctx, rect, tree.recon)
     if trace is not None:
         trace.append((rect, tree.mode))
 
 
 # candidate order implements the tie-break preference:
 # TEXTURE > GLOBAL_WARP > INTER_MV > INTRA_DC > SPLIT (strict < to replace)
-def _leaf_candidates(ctx: _FrameCtx, texture_available: bool):
+def _leaf_candidates(ctx: _FrameCtx):
     if ctx.frame_type == KEY_FRAME:
         return (BlockMode.INTRA_DC,)
     modes = []
@@ -379,6 +422,15 @@ def _leaf_candidates(ctx: _FrameCtx, texture_available: bool):
     modes.append(BlockMode.INTER_MV)
     modes.append(BlockMode.INTRA_DC)
     return tuple(modes)
+
+
+def _try_leaf(ctx: _FrameCtx, leaf: _Leaf, rect: BlockRect):
+    """(bits, distortion) of a candidate leaf.  Keeps its reconstruction in
+    `leaf.recon` and leaves it in the working recon planes."""
+    leaf.recon = _reconstruct_leaf(ctx, leaf, rect)
+    _restore(ctx, rect, leaf.recon)
+    return (_leaf_bits(leaf, rect, with_flag=rect.size > MIN_BLOCK),
+            _block_ssd(ctx, rect))
 
 
 def _search_node(ctx: _FrameCtx, rect: BlockRect, cfg: EncoderConfig,
@@ -402,22 +454,18 @@ def _search_node(ctx: _FrameCtx, rect: BlockRect, cfg: EncoderConfig,
     snap = _snapshot(ctx, rect)
     if texture_forced:
         leaf = _Leaf(mode=BlockMode.TEXTURE)
-        bits = _leaf_bits(leaf, rect, with_flag=rect.size > MIN_BLOCK)
-        _apply_leaf(ctx, leaf, rect)
-        dist = _block_ssd(ctx, rect)
+        bits, dist = _try_leaf(ctx, leaf, rect)
         _restore(ctx, rect, snap)
         return leaf, bits, dist
 
     best = None
-    for mode in _leaf_candidates(ctx, cfg.texture_mode):
+    for mode in _leaf_candidates(ctx):
         leaf = _build_leaf(ctx, mode, rect, cfg.search_range)
-        bits = _leaf_bits(leaf, rect, with_flag=rect.size > MIN_BLOCK)
-        _apply_leaf(ctx, leaf, rect)
-        dist = _block_ssd(ctx, rect)
-        _restore(ctx, rect, snap)
+        bits, dist = _try_leaf(ctx, leaf, rect)
         cost = dist + ctx.rd_lambda * bits
         if best is None or cost < best[0]:
             best = (cost, leaf, bits, dist)
+    _restore(ctx, rect, snap)
     if rect.size > MIN_BLOCK:
         tree, sbits, sdist = _search_split(ctx, rect, cfg, cur_mask, ref_mask,
                                            flag_bits=1)

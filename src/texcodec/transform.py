@@ -59,14 +59,20 @@ def zigzag_order(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(order)
 
 
+@lru_cache(maxsize=None)
+def _zigzag_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat raster index of each scan position, and its inverse."""
+    fwd = np.array([i * n + j for i, j in zigzag_order(n)], np.intp)
+    inv = np.argsort(fwd)
+    fwd.flags.writeable = inv.flags.writeable = False
+    return fwd, inv
+
+
 def scan(levels: np.ndarray) -> np.ndarray:
-    n = levels.shape[0]
-    order = zigzag_order(n)
-    return np.array([levels[i, j] for i, j in order], dtype=np.int64)
+    fwd, _ = _zigzag_index(levels.shape[0])
+    return np.asarray(levels, np.int64).reshape(-1)[fwd]
 
 
 def unscan(flat: np.ndarray, n: int) -> np.ndarray:
-    out = np.zeros((n, n), dtype=np.int64)
-    for v, (i, j) in zip(flat, zigzag_order(n)):
-        out[i, j] = v
-    return out
+    _, inv = _zigzag_index(n)
+    return np.asarray(flat, np.int64)[inv].reshape(n, n)

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from crafted_streams import huge_level_tu, single_tu_stream
 from texcodec.analyzer import mask_filename, save_mask
 from texcodec.cli import main
 from texcodec.frames import read_y4m, write_y4m
@@ -61,6 +62,14 @@ def test_domain_errors_exit_one(tmp_path, capsys):
     assert main(["decode", "--in", str(bad),
                  "--out", str(tmp_path / "o.y4m")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_decode_oversized_level_exits_one(tmp_path, capsys):
+    bad = tmp_path / "huge.txc"
+    bad.write_bytes(single_tu_stream(huge_level_tu))
+    assert main(["decode", "--in", str(bad),
+                 "--out", str(tmp_path / "o.y4m")]) == 1
+    assert "Exp-Golomb" in capsys.readouterr().err
 
 
 def test_encode_texture_mode_requires_masks(workdir, tmp_path, capsys):

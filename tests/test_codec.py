@@ -7,16 +7,17 @@ import struct
 import numpy as np
 import pytest
 
+from crafted_streams import huge_level_tu, single_tu_stream
 from texture_oracle import is_texture_block_oracle
 from texcodec.analyzer import TextureMask, all_texture_mask
-from texcodec.bitio import BitstreamError
-from texcodec.codec import (INTER_FRAME, MIN_BLOCK, SUPERBLOCK,
+from texcodec.bitio import BitReader, BitstreamError, BitWriter
+from texcodec.codec import (INTER_FRAME, MAX_LEVEL, MIN_BLOCK, SUPERBLOCK,
                             BlockMode, EncoderConfig, _FrameCtx,
                             _Leaf, _apply_leaf, _block_ssd, _build_leaf,
                             _estimate_frame_motion, _leaf_bits,
-                            _leaf_candidates, _restore, _search_node,
-                            _snapshot, decode_sequence, encode_sequence,
-                            is_texture_block)
+                            _leaf_candidates, _read_coeffs, _restore,
+                            _search_node, _snapshot, decode_sequence,
+                            encode_sequence, is_texture_block)
 from texcodec.datasets import NON_TEXTURE, TEXTURE
 from texcodec.frames import BLOCK, BlockRect, Frame, Sequence, pad16
 from texcodec.motion import AffineMotion, warp_frame
@@ -274,6 +275,28 @@ def test_single_byte_corruption_always_detected():
             decode_sequence(corrupted)
 
 
+def test_coefficient_level_bound():
+    for level, ok in ((MAX_LEVEL, True), (-MAX_LEVEL, True),
+                      (MAX_LEVEL + 1, False), (-MAX_LEVEL - 1, False)):
+        bw = BitWriter()
+        bw.write_ue(1)
+        bw.write_ue(0)
+        bw.write_se(level)
+        br = BitReader(bw.to_bytes())
+        if ok:
+            assert _read_coeffs(br, 16)[0, 0] == level
+        else:
+            with pytest.raises(BitstreamError, match="level"):
+                _read_coeffs(br, 16)
+
+
+def test_oversized_level_is_a_bitstream_error():
+    # se(2**63) has a 64-zero prefix: rejected as malformed, not an
+    # OverflowError when stored into the int64 level array
+    with pytest.raises(BitstreamError, match="Exp-Golomb"):
+        decode_sequence(single_tu_stream(huge_level_tu))
+
+
 def test_encoder_config_validation():
     with pytest.raises(ValueError):
         EncoderConfig(q_level=0)
@@ -311,7 +334,7 @@ def _all_patterns(size):
 def _greedy_leaf(ctx, cfg, rect):
     snap = _snapshot(ctx, rect)
     best = None
-    for mode in _leaf_candidates(ctx, cfg.texture_mode):
+    for mode in _leaf_candidates(ctx):
         leaf = _build_leaf(ctx, mode, rect, cfg.search_range)
         bits = _leaf_bits(leaf, rect, with_flag=rect.size > MIN_BLOCK)
         _apply_leaf(ctx, leaf, rect)

@@ -1,0 +1,50 @@
+"""Behaviour pins: SHA-256 of TXC1 bitstreams and the rates of an RD sweep
+for small fixed inputs.  A refactor that keeps the format must keep these
+values; a deliberate format change bumps the version and updates them."""
+
+import hashlib
+
+import pytest
+
+from texcodec.codec import EncoderConfig, encode_sequence
+from texcodec.metrics import rd_sweep
+from texcodec.sequences import panning_texture_sequence, random_sequence
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def pan_clip():
+    return panning_texture_sequence(96, 64, n_frames=5, seed=5)
+
+
+def test_pin_texture_mode_bitstream(pan_clip):
+    seq, masks = pan_clip
+    enc = encode_sequence(seq, masks, EncoderConfig(gf_group_size=4))
+    assert _sha(enc.bitstream) == (
+        "2cb8ce05b659e592927a29a699a8ed3e7d7d68541036e816fd0f734084e4535d")
+
+
+def test_pin_baseline_bitstream(pan_clip):
+    seq, _ = pan_clip
+    enc = encode_sequence(seq, None, EncoderConfig(texture_mode=False))
+    assert _sha(enc.bitstream) == (
+        "3084f1f541f1eb6608a2404f38b2b76d27b7d18fe0b016bade7299bd2b030363")
+
+
+def test_pin_partial_superblocks_bitstream():
+    seq = random_sequence(80, 48, 3, seed=7)
+    enc = encode_sequence(seq, None,
+                          EncoderConfig(q_level=16, texture_mode=False))
+    assert _sha(enc.bitstream) == (
+        "ab927ee2c6ed3e517c6456d83885af68a12dda4770de71f83fa57f6a66e05dd9")
+
+
+def test_pin_rd_sweep_rates():
+    seq, masks = panning_texture_sequence(64, 64, n_frames=2, seed=3)
+    report = rd_sweep(seq, masks, base_config=EncoderConfig(gf_group_size=8))
+    rates = [(r["rate_baseline"], r["rate_texture"]) for r in report["levels"]]
+    assert rates == [(17132, 17236), (13416, 13568), (12060, 12240),
+                     (11048, 11192)]
