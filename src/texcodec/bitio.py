@@ -12,9 +12,10 @@ import numpy as np
 
 # Longest ue() prefix a reader accepts: 32 zeros (values below 2**33 - 1).
 MAX_UE_ZEROS = 32
-# Bytes peeked to parse one ue(): the longest code (2*32+1 bits) starting
-# at any bit offset inside the first byte.
-_UE_PEEK_BYTES = (2 * MAX_UE_ZEROS + 1 + 7 + 7) // 8
+# Longest ue() code a reader accepts, in bits.
+_UE_MAX_BITS = 2 * MAX_UE_ZEROS + 1
+# Bytes a reader adds to its parse window at a time.
+_WINDOW_BYTES = 16
 
 
 class BitstreamError(ValueError):
@@ -89,7 +90,8 @@ class BitWriter:
 
 class BitReader:
     """MSB-first bit reader.  Multi-bit reads take their bits from one
-    peeked word instead of bit by bit."""
+    peeked word instead of bit by bit; `read_ues` parses a run of ue()
+    codes in one call."""
 
     def __init__(self, data: bytes):
         self._data = data
@@ -113,19 +115,41 @@ class BitReader:
         return (word >> (-end & 7)) & ((1 << n) - 1)
 
     def read_ue(self) -> int:
+        return self.read_ues(1)[0]
+
+    def read_ues(self, k: int) -> list[int]:
+        """k consecutive ue() values: the same values, errors and final
+        position as k `read_ue` calls.  The codes are parsed from a window
+        of at least _UE_MAX_BITS bits (or all that is left), topped up
+        _WINDOW_BYTES at a time."""
+        data = self._data
         pos = self._pos
-        start = pos >> 3
-        chunk = self._data[start:start + _UE_PEEK_BYTES]
-        avail = 8 * len(chunk) - (pos & 7)
+        byte = pos >> 3
+        chunk = data[byte:byte + _WINDOW_BYTES]
+        byte += len(chunk)
+        avail = 8 * len(chunk) - (pos & 7)  # bits in the window
         word = int.from_bytes(chunk, "big") & ((1 << avail) - 1)
-        zeros = avail - word.bit_length()
-        if zeros > MAX_UE_ZEROS:
-            raise BitstreamError("malformed Exp-Golomb code")
-        n = 2 * zeros + 1
-        if n > avail:
-            raise BitstreamError("bitstream exhausted")
-        self._pos = pos + n
-        return (word >> (avail - n)) - 1
+        out = []
+        append = out.append
+        for _ in range(k):
+            if avail < _UE_MAX_BITS and byte < len(data):
+                chunk = data[byte:byte + _WINDOW_BYTES]
+                byte += len(chunk)
+                avail += 8 * len(chunk)
+                word = (word << 8 * len(chunk)) | int.from_bytes(chunk, "big")
+            zeros = avail - word.bit_length()
+            rest = avail - 2 * zeros - 1  # bits left behind the code
+            if zeros > MAX_UE_ZEROS or rest < 0:
+                self._pos = 8 * byte - avail
+                if zeros > MAX_UE_ZEROS:
+                    raise BitstreamError("malformed Exp-Golomb code")
+                raise BitstreamError("bitstream exhausted")
+            v = word >> rest
+            append(v - 1)
+            word ^= v << rest
+            avail = rest
+        self._pos = 8 * byte - avail
+        return out
 
     def read_se(self) -> int:
         u = self.read_ue()

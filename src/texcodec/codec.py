@@ -272,20 +272,24 @@ def _coeff_bits(levels: np.ndarray) -> int:
 
 
 def _read_coeffs(br: BitReader, n: int) -> np.ndarray:
-    flat = np.zeros(n * n, np.int64)
+    """A TU's levels: ue(count), then count pairs of ue(run) and se(level).
+    The pairs' codes are parsed in one `read_ues` call, so a malformed or
+    truncated code anywhere in them is reported before a range error."""
     count = br.read_ue()
     if count > n * n:
         raise BitstreamError("coefficient count out of range")
+    flat = [0] * (n * n)
+    codes = iter(br.read_ues(2 * count))
     pos = -1
-    for _ in range(count):
-        pos += br.read_ue() + 1
+    for run in codes:
+        pos += run + 1
         if pos >= n * n:
             raise BitstreamError("coefficient position out of range")
-        level = br.read_se()
-        if abs(level) > MAX_LEVEL:
+        u = next(codes)  # se(level) as read_se maps it: odd u > 0, even u <= 0
+        if u > 2 * MAX_LEVEL:  # exactly when |level| > MAX_LEVEL
             raise BitstreamError("coefficient level out of range")
-        flat[pos] = level
-    return unscan(flat, n)
+        flat[pos] = (u + 1) >> 1 if u & 1 else -(u >> 1)
+    return unscan(np.array(flat, np.int64), n)
 
 
 def _write_leaf(bw: BitWriter, leaf: _Leaf, rect: BlockRect) -> None:

@@ -207,3 +207,70 @@ def test_ue_prefix_capped_at_32_zeros():
     assert br.read_ue() == 2 ** 33 - 2
     with pytest.raises(BitstreamError, match="malformed Exp-Golomb code"):
         br.read_ue()
+
+
+def _ref_read_ues(bits, pos, k):
+    """k ue() codes of the bit string from `pos`, with the reader's 32-zero
+    prefix cap: (values, error message or None, position)."""
+    out = []
+    for _ in range(k):
+        one = bits.find("1", pos)
+        zeros = (len(bits) if one < 0 else one) - pos
+        if zeros > 32:
+            return out, "malformed Exp-Golomb code", pos
+        if pos + 2 * zeros + 1 > len(bits):
+            return out, "bitstream exhausted", pos
+        out.append(int(bits[pos + zeros:pos + 2 * zeros + 1], 2) - 1)
+        pos += 2 * zeros + 1
+    return out, None, pos
+
+
+# a code: ue(value), or a prefix of 33 or more zeros (malformed)
+_CODES = st.one_of(
+    st.integers(0, 300).map(_ref_ue),
+    st.integers(0, 2 ** 33 - 2).map(_ref_ue),
+    st.integers(33, 80).map(lambda z: "0" * z + "1"),
+)
+
+
+@SETTINGS
+@given(st.integers(0, 15), st.lists(_CODES, max_size=60), st.data())
+def test_read_ues_matches_reference(skip, codes, data):
+    bits = "1" * skip + "".join(codes)
+    bits = bits[:data.draw(st.integers(skip, len(bits)))]
+    packed = _ref_pack(bits)
+    padded = "".join(format(b, "08b") for b in packed)
+    want, err, end = _ref_read_ues(padded, skip, len(codes))
+    br = BitReader(packed)
+    if skip:
+        br.read_bits(skip)
+    if err is None:
+        assert br.read_ues(len(codes)) == want
+    else:
+        with pytest.raises(BitstreamError, match=err):
+            br.read_ues(len(codes))
+    assert br._pos == end  # where the failing code starts, as read_ue leaves it
+
+
+def _coeff_stream(pairs):
+    """ue(count), then ue(run) and se(level) of each (run, level) pair."""
+    bw = BitWriter()
+    bw.write_ue(len(pairs))
+    for run, level in pairs:
+        bw.write_ue(run)
+        bw.write_se(level)
+    return BitReader(bw.to_bytes())
+
+
+def test_read_coeffs_reports_first_range_error_in_stream_order():
+    n = CHROMA_TU
+    with pytest.raises(BitstreamError, match="count"):
+        _read_coeffs(_coeff_stream([(0, 1)] * (n * n + 1)), n)
+    with pytest.raises(BitstreamError, match="level"):
+        _read_coeffs(_coeff_stream([(0, MAX_LEVEL + 1), (n * n, 1)]), n)
+    with pytest.raises(BitstreamError, match="position"):
+        _read_coeffs(_coeff_stream([(n * n, MAX_LEVEL + 1), (0, 1)]), n)
+    with pytest.raises(BitstreamError, match="position"):
+        _read_coeffs(_coeff_stream([(0, 1), (n * n - 1, -MAX_LEVEL - 1)]), n)
+    levels = _read_coeffs(_coeff_stream([(0, -MAX_LEVEL), (n * n - 2, MAX_LEVEL)]), n)
+    assert levels.flat[0] == -MAX_LEVEL and levels.flat[n * n - 1] == MAX_LEVEL
