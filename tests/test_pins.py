@@ -1,6 +1,7 @@
-"""Behaviour pins: SHA-256 of TXC1 bitstreams and the rates of an RD sweep
-for small fixed inputs.  A refactor that keeps the format must keep these
-values; a deliberate format change bumps the version and updates them."""
+"""Behaviour pins: SHA-256 of TXC1 bitstreams and leaf traces, and the rates
+of an RD sweep, for small fixed inputs.  A refactor that keeps the format
+must keep these values; a deliberate format change bumps the version and
+updates them."""
 
 import hashlib
 
@@ -15,6 +16,12 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _trace_sha(enc) -> str:
+    """SHA-256 of the per-frame (x, y, size, mode) leaf traces."""
+    return _sha(repr([[(r.x, r.y, r.size, m.name) for r, m in t]
+                      for t in enc.traces]).encode())
+
+
 @pytest.fixture(scope="module")
 def pan_clip():
     return panning_texture_sequence(96, 64, n_frames=5, seed=5)
@@ -25,6 +32,8 @@ def test_pin_texture_mode_bitstream(pan_clip):
     enc = encode_sequence(seq, masks, EncoderConfig(gf_group_size=4))
     assert _sha(enc.bitstream) == (
         "2cb8ce05b659e592927a29a699a8ed3e7d7d68541036e816fd0f734084e4535d")
+    assert _trace_sha(enc) == (
+        "da373575aeadd3854bc1c7b1c688a99dfd55f047590fc2012c81e5cc1974024e")
 
 
 def test_pin_baseline_bitstream(pan_clip):
@@ -32,6 +41,8 @@ def test_pin_baseline_bitstream(pan_clip):
     enc = encode_sequence(seq, None, EncoderConfig(texture_mode=False))
     assert _sha(enc.bitstream) == (
         "3084f1f541f1eb6608a2404f38b2b76d27b7d18fe0b016bade7299bd2b030363")
+    assert _trace_sha(enc) == (
+        "f978e2ae14be1a50461eafc95e980d6abaee7cb7889968d2013ffdbb6b124e41")
 
 
 def test_pin_partial_superblocks_bitstream():
@@ -40,6 +51,8 @@ def test_pin_partial_superblocks_bitstream():
                           EncoderConfig(q_level=16, texture_mode=False))
     assert _sha(enc.bitstream) == (
         "ab927ee2c6ed3e517c6456d83885af68a12dda4770de71f83fa57f6a66e05dd9")
+    assert _trace_sha(enc) == (
+        "ccb674dc0990c53440e603d2565375fdee9faf8e5e54b0d885b429523381b98c")
 
 
 def test_pin_rd_sweep_rates():
