@@ -51,9 +51,6 @@ class TextureMask:
     def grid_h(self):
         return self.labels.shape[0]
 
-    def texture_fraction(self) -> float:
-        return float(np.mean(self.labels == TEXTURE))
-
 
 def all_texture_mask(grid_h: int, grid_w: int, frame_index: int = 0,
                      texture: bool = True) -> TextureMask:

@@ -208,9 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
                            f"weights v{FORMAT_VERSIONS['weights']})")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--threads", type=int, default=1,
-                        help="reserved; all paths are deterministic")
-    common.add_argument("--verbose", action="store_true")
     io_common = argparse.ArgumentParser(add_help=False)
     io_common.add_argument("--size", default=None,
                            help="WxH for raw .yuv inputs")
@@ -255,6 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--mask", required=True)
     m.add_argument("--model", default="rotzoom",
                    choices=[k.value for k in MotionModelKind])
+    m.add_argument("--verbose", action="store_true",
+                   help="print the fit's inliers and residual to stderr")
     m.set_defaults(func=_cmd_motion)
 
     e = sub.add_parser("encode", parents=[common, io_common],

@@ -83,7 +83,6 @@ class FrameStats:
     frame_type: str
     bits: int
     mode_counts: dict
-    texture_block_count: int
     texture_area_fraction: float
 
     def as_dict(self):
@@ -144,24 +143,32 @@ class _Leaf:
     mv: tuple[int, int] | None = None
     # plane -> list of quantized level arrays, TU raster order
     levels: dict = field(default_factory=dict)
-    # plane -> reconstructed block, kept by the RD search for emission
+    # plane -> reconstructed block, kept by the RD search to paste back
     recon: dict | None = None
+
+
+def _planes(f: Frame | None):
+    return None if f is None else {"y": f.y, "u": f.u, "v": f.v}
 
 
 class _FrameCtx:
     """State shared between RD search, bit emission and decoding for one
-    frame: working reconstruction planes plus prediction sources."""
+    frame: working reconstruction planes plus prediction sources.  An INTER
+    frame predicts from the previous reconstruction and from the group's KEY
+    reconstruction warped by `motion`."""
 
-    def __init__(self, pw, ph, q_step, frame_type, prev_recon=None,
-                 warped=None, orig=None, rd_lambda=0.0):
+    def __init__(self, pw, ph, q_step, frame_type, key_recon=None,
+                 prev_recon=None, motion=None, orig=None, rd_lambda=0.0):
         self.pw, self.ph = pw, ph
         self.q_step = q_step
         self.frame_type = frame_type
-        self.prev_recon = prev_recon
-        self.warped = warped
-        self.orig = orig
+        self.motion: AffineMotion | None = motion
+        self.orig = _planes(orig)
         self.rd_lambda = rd_lambda
-        self.motion: AffineMotion | None = None
+        self.prev_recon = self.warped = None
+        if frame_type == INTER_FRAME:
+            self.prev_recon = _planes(prev_recon)
+            self.warped = _planes(warp_frame(key_recon, motion))
         self.recon = {
             "y": np.zeros((ph, pw), np.uint8),
             "u": np.zeros((ph // 2, pw // 2), np.uint8),
@@ -172,6 +179,29 @@ class _FrameCtx:
         return Frame(y=self.recon["y"], u=self.recon["u"], v=self.recon["v"],
                      frame_index=frame_index,
                      orig_width=orig_w, orig_height=orig_h)
+
+
+def _children(ctx: _FrameCtx, rect: BlockRect):
+    """The quadrants of a split node that start inside the frame, z-order."""
+    half = rect.size // 2
+    for cy in (0, 1):
+        for cx in (0, 1):
+            child = BlockRect(rect.x + cx * half, rect.y + cy * half, half)
+            if child.x < ctx.pw and child.y < ctx.ph:
+                yield child
+
+
+def _split_flag_coded(ctx: _FrameCtx, rect: BlockRect) -> bool:
+    """A node codes a split flag when it lies wholly inside the frame and is
+    larger than MIN_BLOCK.  A partial node is always split, uncoded."""
+    return (rect.size > MIN_BLOCK and rect.x + rect.size <= ctx.pw
+            and rect.y + rect.size <= ctx.ph)
+
+
+def _superblocks(ctx: _FrameCtx):
+    for sy in range(0, ctx.ph, SUPERBLOCK):
+        for sx in range(0, ctx.pw, SUPERBLOCK):
+            yield BlockRect(sx, sy, SUPERBLOCK)
 
 
 def _plane_rect(plane, rect):
@@ -214,7 +244,7 @@ def _prediction(ctx: _FrameCtx, leaf: _Leaf, rect: BlockRect,
 def _tu_grid(plane, rect):
     x, y, s = _plane_rect(plane, rect)
     tu = LUMA_TU if plane == "y" else CHROMA_TU
-    return [(x + j, y + i, tu) for i in range(0, s, tu) for j in range(0, s, tu)]
+    return [(x + j, y + i) for i in range(0, s, tu) for j in range(0, s, tu)]
 
 
 def _reconstruct_leaf(ctx: _FrameCtx, leaf: _Leaf, rect: BlockRect) -> dict:
@@ -227,7 +257,7 @@ def _reconstruct_leaf(ctx: _FrameCtx, leaf: _Leaf, rect: BlockRect) -> dict:
         if leaf.mode != BlockMode.TEXTURE:
             x, y, _ = _plane_rect(plane, rect)
             tu = LUMA_TU if plane == "y" else CHROMA_TU
-            for k, (tx, ty, _) in enumerate(_tu_grid(plane, rect)):
+            for k, (tx, ty) in enumerate(_tu_grid(plane, rect)):
                 res = reconstruct_residual(leaf.levels[plane][k], ctx.q_step)
                 recon[ty - y:ty - y + tu, tx - x:tx - x + tu] += res
         out[plane] = np.clip(recon, 0, 255).astype(np.uint8)
@@ -236,7 +266,14 @@ def _reconstruct_leaf(ctx: _FrameCtx, leaf: _Leaf, rect: BlockRect) -> dict:
 
 def _apply_leaf(ctx: _FrameCtx, leaf: _Leaf, rect: BlockRect) -> None:
     """Reconstruct a leaf into the working recon planes."""
-    _restore(ctx, rect, _reconstruct_leaf(ctx, leaf, rect))
+    _paste(ctx, rect, _reconstruct_leaf(ctx, leaf, rect))
+
+
+def _paste(ctx: _FrameCtx, rect: BlockRect, blocks: dict) -> None:
+    """Write per-plane blocks into the working recon planes at `rect`."""
+    for plane in ("y", "u", "v"):
+        x, y, s = _plane_rect(plane, rect)
+        ctx.recon[plane][y:y + s, x:x + s] = blocks[plane]
 
 
 def _nonzero_levels(levels: np.ndarray):
@@ -292,7 +329,7 @@ def _read_coeffs(br: BitReader, n: int) -> np.ndarray:
     return unscan(np.array(flat, np.int64), n)
 
 
-def _write_leaf(bw: BitWriter, leaf: _Leaf, rect: BlockRect) -> None:
+def _write_leaf(bw: BitWriter, leaf: _Leaf) -> None:
     bw.write_bits(int(leaf.mode), 2)
     if leaf.mode == BlockMode.TEXTURE:
         return
@@ -346,11 +383,11 @@ def _build_leaf(ctx: _FrameCtx, mode: BlockMode, rect: BlockRect,
         leaf.levels[plane] = [
             transform_quantize(res[ty - y:ty - y + tu, tx - x:tx - x + tu],
                                ctx.q_step)
-            for tx, ty, _ in _tu_grid(plane, rect)]
+            for tx, ty in _tu_grid(plane, rect)]
     return leaf
 
 
-def _leaf_bits(leaf: _Leaf, rect: BlockRect, with_flag: bool) -> int:
+def _leaf_bits(leaf: _Leaf, with_flag: bool) -> int:
     """Bits `_write_leaf` writes for `leaf`, plus its split flag when
     `with_flag`, counted from the code lengths without writing them."""
     bits = int(with_flag) + 2
@@ -373,46 +410,19 @@ def _block_ssd(ctx: _FrameCtx, rect: BlockRect) -> int:
     return total
 
 
-def _snapshot(ctx, rect):
-    out = {}
-    for plane in ("y", "u", "v"):
-        x, y, s = _plane_rect(plane, rect)
-        out[plane] = ctx.recon[plane][y:y + s, x:x + s].copy()
-    return out
-
-
-def _restore(ctx, rect, snap):
-    """Write per-plane blocks (a snapshot or a leaf's reconstruction)."""
-    for plane in ("y", "u", "v"):
-        x, y, s = _plane_rect(plane, rect)
-        ctx.recon[plane][y:y + s, x:x + s] = snap[plane]
-
-
-def _apply_tree(ctx, tree, rect, bw=None, trace=None):
-    """Paste the reconstruction the search kept for each leaf of a decided
-    tree (and optionally emit the tree).  `tree` is either a _Leaf,
-    ('split', [children]) or None (node outside the frame)."""
-    if tree is None:
+def _write_tree(bw: BitWriter, ctx: _FrameCtx, tree, rect: BlockRect,
+                trace: list) -> None:
+    """Emit a decided tree: a _Leaf, or the list of its in-frame children's
+    trees (a split); records each leaf's (rect, mode) in `trace`."""
+    split = isinstance(tree, list)
+    if _split_flag_coded(ctx, rect):
+        bw.write_bit(int(split))
+    if split:
+        for child, subtree in zip(_children(ctx, rect), tree):
+            _write_tree(bw, ctx, subtree, child, trace)
         return
-    if isinstance(tree, tuple) and tree[0] == "split":
-        boundary = rect.x + rect.size > ctx.pw or rect.y + rect.size > ctx.ph
-        if bw is not None and not boundary:
-            bw.write_bit(1)
-        half = rect.size // 2
-        for cy in (0, 1):
-            for cx in (0, 1):
-                child = BlockRect(rect.x + cx * half, rect.y + cy * half, half)
-                if child.x >= ctx.pw or child.y >= ctx.ph:
-                    continue
-                _apply_tree(ctx, tree[1][cy * 2 + cx], child, bw, trace)
-        return
-    if bw is not None and rect.size > MIN_BLOCK:
-        bw.write_bit(0)
-    if bw is not None:
-        _write_leaf(bw, tree, rect)
-    _restore(ctx, rect, tree.recon)
-    if trace is not None:
-        trace.append((rect, tree.mode))
+    _write_leaf(bw, tree)
+    trace.append((rect, tree.mode))
 
 
 # candidate order implements the tie-break preference:
@@ -420,33 +430,26 @@ def _apply_tree(ctx, tree, rect, bw=None, trace=None):
 def _leaf_candidates(ctx: _FrameCtx):
     if ctx.frame_type == KEY_FRAME:
         return (BlockMode.INTRA_DC,)
-    modes = []
-    if ctx.warped is not None:
-        modes.append(BlockMode.GLOBAL_WARP)
-    modes.append(BlockMode.INTER_MV)
-    modes.append(BlockMode.INTRA_DC)
-    return tuple(modes)
+    return (BlockMode.GLOBAL_WARP, BlockMode.INTER_MV, BlockMode.INTRA_DC)
 
 
-def _try_leaf(ctx: _FrameCtx, leaf: _Leaf, rect: BlockRect):
+def _try_leaf(ctx: _FrameCtx, leaf: _Leaf, rect: BlockRect, with_flag: bool):
     """(bits, distortion) of a candidate leaf.  Keeps its reconstruction in
     `leaf.recon` and leaves it in the working recon planes."""
     leaf.recon = _reconstruct_leaf(ctx, leaf, rect)
-    _restore(ctx, rect, leaf.recon)
-    return (_leaf_bits(leaf, rect, with_flag=rect.size > MIN_BLOCK),
-            _block_ssd(ctx, rect))
+    _paste(ctx, rect, leaf.recon)
+    return _leaf_bits(leaf, with_flag), _block_ssd(ctx, rect)
 
 
 def _search_node(ctx: _FrameCtx, rect: BlockRect, cfg: EncoderConfig,
                  cur_mask, ref_mask):
     """RD-search one quadtree node; returns (tree, bits, dist) and leaves the
-    working reconstruction unchanged."""
-    if rect.x >= ctx.pw or rect.y >= ctx.ph:
-        return None, 0, 0
-    boundary = rect.x + rect.size > ctx.pw or rect.y + rect.size > ctx.ph
-    if boundary:
-        # partial node: forced split, no flag coded
-        return _search_split(ctx, rect, cfg, cur_mask, ref_mask, flag_bits=0)
+    chosen tree's reconstruction in the working recon planes.  The search
+    reads those planes only above and left of `rect` (the INTRA_DC
+    neighbours, already decided), so what `rect` held before is never read."""
+    flag = _split_flag_coded(ctx, rect)
+    if rect.size > MIN_BLOCK and not flag:  # a partial node: always split
+        return _search_split(ctx, rect, cfg, cur_mask, ref_mask)
 
     texture_forced = (
         cfg.texture_mode
@@ -455,44 +458,36 @@ def _search_node(ctx: _FrameCtx, rect: BlockRect, cfg: EncoderConfig,
         and is_texture_block(rect, cur_mask, ref_mask, ctx.motion,
                              ctx.pw, ctx.ph)
     )
-    snap = _snapshot(ctx, rect)
     if texture_forced:
         leaf = _Leaf(mode=BlockMode.TEXTURE)
-        bits, dist = _try_leaf(ctx, leaf, rect)
-        _restore(ctx, rect, snap)
-        return leaf, bits, dist
+        return (leaf, *_try_leaf(ctx, leaf, rect, flag))
 
     best = None
     for mode in _leaf_candidates(ctx):
         leaf = _build_leaf(ctx, mode, rect, cfg.search_range)
-        bits, dist = _try_leaf(ctx, leaf, rect)
+        bits, dist = _try_leaf(ctx, leaf, rect, flag)
         cost = dist + ctx.rd_lambda * bits
         if best is None or cost < best[0]:
             best = (cost, leaf, bits, dist)
-    _restore(ctx, rect, snap)
-    if rect.size > MIN_BLOCK:
-        tree, sbits, sdist = _search_split(ctx, rect, cfg, cur_mask, ref_mask,
-                                           flag_bits=1)
-        scost = sdist + ctx.rd_lambda * sbits
-        if scost < best[0]:
+    if flag:
+        tree, sbits, sdist = _search_split(ctx, rect, cfg, cur_mask, ref_mask)
+        sbits += 1  # the split flag
+        if sdist + ctx.rd_lambda * sbits < best[0]:
             return tree, sbits, sdist
+    _paste(ctx, rect, best[1].recon)
     return best[1], best[2], best[3]
 
 
-def _search_split(ctx, rect, cfg, cur_mask, ref_mask, flag_bits):
-    snap = _snapshot(ctx, rect)
-    half = rect.size // 2
-    children, bits, dist = [], flag_bits, 0
-    for cy in (0, 1):
-        for cx in (0, 1):
-            child = BlockRect(rect.x + cx * half, rect.y + cy * half, half)
-            tree, b, d = _search_node(ctx, child, cfg, cur_mask, ref_mask)
-            children.append(tree)
-            bits += b
-            dist += d
-            _apply_tree(ctx, tree, child)  # context for the next sibling
-    _restore(ctx, rect, snap)
-    return ("split", children), bits, dist
+def _search_split(ctx, rect, cfg, cur_mask, ref_mask):
+    """Search the in-frame children in z-order; each leaves its chosen
+    reconstruction in place as context for the next sibling."""
+    children, bits, dist = [], 0, 0
+    for child in _children(ctx, rect):
+        tree, b, d = _search_node(ctx, child, cfg, cur_mask, ref_mask)
+        children.append(tree)
+        bits += b
+        dist += d
+    return children, bits, dist
 
 
 def _estimate_frame_motion(cur: Frame, key_recon: Frame, cur_mask, cfg):
@@ -540,34 +535,24 @@ def encode_sequence(seq: Sequence, masks, config: EncoderConfig) -> EncodeResult
     key_mask = None
     for i, frame in enumerate(padded):
         is_key = i % config.gf_group_size == 0
+        ftype = KEY_FRAME if is_key else INTER_FRAME
         cur_mask = masks[i] if masks is not None else None
-        header = struct.pack("<BB", KEY_FRAME if is_key else INTER_FRAME,
-                             config.q_level)
-        ctx = _FrameCtx(pw, ph, config.q_step,
-                        KEY_FRAME if is_key else INTER_FRAME,
-                        rd_lambda=config.rd_lambda)
-        ctx.orig = {"y": frame.y, "u": frame.u, "v": frame.v}
-        if is_key:
-            ctx.motion = None
-            ref_mask = None
-        else:
+        header = struct.pack("<BB", ftype, config.q_level)
+        m = ref_mask = None
+        if not is_key:
             m = _estimate_frame_motion(frame, key_recon, cur_mask, config)
             header += struct.pack("<6i", *(int(round(v * 65536.0))
                                            for v in m.as_tuple()))
-            warped = warp_frame(key_recon, m)
-            ctx.warped = {"y": warped.y, "u": warped.u, "v": warped.v}
-            ctx.prev_recon = {"y": prev_recon.y, "u": prev_recon.u,
-                              "v": prev_recon.v}
-            ctx.motion = m
             ref_mask = key_mask
+        ctx = _FrameCtx(pw, ph, config.q_step, ftype, key_recon=key_recon,
+                        prev_recon=prev_recon, motion=m, orig=frame,
+                        rd_lambda=config.rd_lambda)
 
         bw = BitWriter()
         trace = []
-        for sy in range(0, ph, SUPERBLOCK):
-            for sx in range(0, pw, SUPERBLOCK):
-                rect = BlockRect(sx, sy, SUPERBLOCK)
-                tree, _, _ = _search_node(ctx, rect, config, cur_mask, ref_mask)
-                _apply_tree(ctx, tree, rect, bw, trace)
+        for rect in _superblocks(ctx):
+            tree, _, _ = _search_node(ctx, rect, config, cur_mask, ref_mask)
+            _write_tree(bw, ctx, tree, rect, trace)
         payload = bw.to_bytes()
         out += header
         out += struct.pack("<I", len(payload))
@@ -592,7 +577,6 @@ def encode_sequence(seq: Sequence, masks, config: EncoderConfig) -> EncodeResult
             frame_type="KEY" if is_key else "INTER",
             bits=8 * (len(header) + 4 + len(payload)),
             mode_counts=mode_counts,
-            texture_block_count=mode_counts["TEXTURE"],
             texture_area_fraction=tex_area / (pw * ph),
         ))
     for crc in crcs:
@@ -613,19 +597,15 @@ def _recon_crc(f: Frame) -> int:
 
 
 def _decode_node(ctx: _FrameCtx, rect: BlockRect, br: BitReader):
-    if rect.x >= ctx.pw or rect.y >= ctx.ph:
-        return
-    boundary = rect.x + rect.size > ctx.pw or rect.y + rect.size > ctx.ph
-    split = boundary or (rect.size > MIN_BLOCK and br.read_bit() == 1)
+    if _split_flag_coded(ctx, rect):
+        split = br.read_bit() == 1
+    else:
+        split = rect.size > MIN_BLOCK  # a partial node
     if split:
-        half = rect.size // 2
-        for cy in (0, 1):
-            for cx in (0, 1):
-                _decode_node(ctx, BlockRect(rect.x + cx * half,
-                                            rect.y + cy * half, half), br)
+        for child in _children(ctx, rect):
+            _decode_node(ctx, child, br)
         return
-    leaf = _read_leaf(br, ctx, rect)
-    _apply_leaf(ctx, leaf, rect)
+    _apply_leaf(ctx, _read_leaf(br, ctx, rect), rect)
 
 
 def decode_sequence(data: bytes) -> DecodeResult:
@@ -641,6 +621,8 @@ def decode_sequence(data: bytes) -> DecodeResult:
     if model_code not in _MODEL_FROM_CODE:
         raise BitstreamError(f"unknown motion model code {model_code}")
     pw, ph = pad16(width), pad16(height)
+    # every superblock codes at least one 2-bit leaf mode
+    min_payload_bits = 2 * -(-pw // SUPERBLOCK) * -(-ph // SUPERBLOCK)
     pos = hdr_size
     prev_recon = key_recon = None
     recons, frames = [], []
@@ -653,30 +635,30 @@ def decode_sequence(data: bytes) -> DecodeResult:
             raise BitstreamError(f"bad frame type {ftype}")
         if q_level < 1:
             raise BitstreamError("bad q_level")
-        ctx = _FrameCtx(pw, ph, q_level, ftype)
+        m = None
         if ftype == INTER_FRAME:
-            if i == 0 or key_recon is None:
+            if key_recon is None:
                 raise BitstreamError("INTER frame without a key frame")
             if pos + 24 > len(data):
                 raise BitstreamError(f"truncated motion header of frame {i}")
             raw = struct.unpack_from("<6i", data, pos)
             pos += 24
             m = AffineMotion(*(v / 65536.0 for v in raw))
-            warped = warp_frame(key_recon, m)
-            ctx.warped = {"y": warped.y, "u": warped.u, "v": warped.v}
-            ctx.prev_recon = {"y": prev_recon.y, "u": prev_recon.u,
-                              "v": prev_recon.v}
         if pos + 4 > len(data):
             raise BitstreamError(f"truncated payload length of frame {i}")
         (plen,) = struct.unpack_from("<I", data, pos)
         pos += 4
         if pos + plen > len(data):
             raise BitstreamError(f"truncated payload of frame {i}")
+        if 8 * plen < min_payload_bits:
+            raise BitstreamError(f"payload of frame {i} too short for "
+                                 f"{width}x{height}")
+        ctx = _FrameCtx(pw, ph, q_level, ftype, key_recon=key_recon,
+                        prev_recon=prev_recon, motion=m)
         br = BitReader(data[pos:pos + plen])
         pos += plen
-        for sy in range(0, ph, SUPERBLOCK):
-            for sx in range(0, pw, SUPERBLOCK):
-                _decode_node(ctx, BlockRect(sx, sy, SUPERBLOCK), br)
+        for rect in _superblocks(ctx):
+            _decode_node(ctx, rect, br)
         recon = ctx.recon_frame(i, width, height)
         recons.append(recon)
         frames.append(crop_frame(recon, width, height))

@@ -58,13 +58,6 @@ class PatchDataset:
         with np.load(path) as z:
             return cls(patches=z["patches"], labels=z["labels"])
 
-    @classmethod
-    def concat(cls, parts):
-        return cls(
-            patches=np.concatenate([p.patches for p in parts]),
-            labels=np.concatenate([p.labels for p in parts]),
-        )
-
 
 # ---------------------------------------------------------------------------
 # exact area-average (box) resize

@@ -264,10 +264,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def relu(x):
-    return np.maximum(x, 0)
-
-
 def cross_entropy_weighted(probs, labels, class_weights):
     """Class-weighted cross entropy on softmax outputs.
 

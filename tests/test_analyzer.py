@@ -269,5 +269,4 @@ def test_texture_mask_validation():
         TextureMask(labels=np.zeros((2, 2), np.uint8),
                     probs=np.zeros((3, 2), np.float32))
     m = all_texture_mask(2, 3)
-    assert m.texture_fraction() == 1.0
     assert (m.grid_h, m.grid_w) == (2, 3)

@@ -128,18 +128,17 @@ def _leaves(draw):
             tu = LUMA_TU if plane == "y" else CHROMA_TU
             leaf.levels[plane] = [_levels(rng, tu, kind)
                                   for _ in _tu_grid(plane, rect)]
-    return leaf, rect
+    return leaf
 
 
 @SETTINGS
 @given(_leaves(), st.booleans())
-def test_leaf_bits_matches_writer(leaf_rect, with_flag):
-    leaf, rect = leaf_rect
+def test_leaf_bits_matches_writer(leaf, with_flag):
     bw = BitWriter()
     if with_flag:
         bw.write_bit(0)
-    _write_leaf(bw, leaf, rect)
-    assert _leaf_bits(leaf, rect, with_flag) == bw.bits_written
+    _write_leaf(bw, leaf)
+    assert _leaf_bits(leaf, with_flag) == bw.bits_written
 
 
 @SETTINGS

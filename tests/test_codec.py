@@ -3,6 +3,7 @@ robustness and the RD search."""
 
 import itertools
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,16 +12,16 @@ from crafted_streams import huge_level_tu, single_tu_stream
 from texture_oracle import is_texture_block_oracle
 from texcodec.analyzer import TextureMask, all_texture_mask
 from texcodec.bitio import BitReader, BitstreamError, BitWriter
-from texcodec.codec import (INTER_FRAME, MAX_LEVEL, MIN_BLOCK, SUPERBLOCK,
-                            BlockMode, EncoderConfig, _FrameCtx,
-                            _Leaf, _apply_leaf, _block_ssd, _build_leaf,
-                            _estimate_frame_motion, _leaf_bits,
-                            _leaf_candidates, _read_coeffs, _restore,
-                            _search_node, _snapshot, decode_sequence,
+from texcodec.codec import (INTER_FRAME, KEY_FRAME, MAGIC, MAX_LEVEL,
+                            MIN_BLOCK, SUPERBLOCK, VERSION, BlockMode,
+                            EncoderConfig, _FrameCtx, _Leaf, _apply_leaf,
+                            _block_ssd, _build_leaf, _estimate_frame_motion,
+                            _leaf_bits, _leaf_candidates, _plane_rect,
+                            _read_coeffs, _search_node, decode_sequence,
                             encode_sequence, is_texture_block)
 from texcodec.datasets import NON_TEXTURE, TEXTURE
 from texcodec.frames import BLOCK, BlockRect, Frame, Sequence, pad16
-from texcodec.motion import AffineMotion, warp_frame
+from texcodec.motion import AffineMotion
 from texcodec.sequences import _noise_texture, panning_texture_sequence, random_sequence
 
 
@@ -143,7 +144,6 @@ def test_baseline_never_emits_texture_blocks():
     enc = encode_sequence(seq, None, EncoderConfig(texture_mode=False))
     for stats in enc.frame_stats:
         assert stats.mode_counts["TEXTURE"] == 0
-        assert stats.texture_block_count == 0
     for trace in enc.traces:
         assert all(mode != BlockMode.TEXTURE for _, mode in trace)
 
@@ -158,9 +158,8 @@ def test_key_frames_are_intra_only():
 
 
 def test_texture_leaf_costs_only_mode_bits():
-    rect = BlockRect(0, 0, 16)
-    assert _leaf_bits(_Leaf(mode=BlockMode.TEXTURE), rect, with_flag=False) == 2
-    assert _leaf_bits(_Leaf(mode=BlockMode.TEXTURE), rect, with_flag=True) == 3
+    assert _leaf_bits(_Leaf(mode=BlockMode.TEXTURE), with_flag=False) == 2
+    assert _leaf_bits(_Leaf(mode=BlockMode.TEXTURE), with_flag=True) == 3
 
 
 def _parse_frame_headers(bitstream):
@@ -297,6 +296,23 @@ def test_oversized_level_is_a_bitstream_error():
         decode_sequence(single_tu_stream(huge_level_tu))
 
 
+def test_short_payload_rejected_before_allocating():
+    # 4096x4096 has 4096 superblocks, so a payload needs >= 8192 bits; the
+    # 1-byte one must be refused before the 24 MB of frame planes exist
+    data = (struct.pack("<4sBHHHBB", MAGIC, VERSION, 4096, 4096, 1, 8, 1)
+            + struct.pack("<BB", KEY_FRAME, 24)
+            + struct.pack("<I", 1) + b"\x00" + struct.pack("<I", 0))
+    assert len(data) == 24
+    tracemalloc.start()
+    try:
+        with pytest.raises(BitstreamError, match="payload"):
+            decode_sequence(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_encoder_config_validation():
     with pytest.raises(ValueError):
         EncoderConfig(q_level=0)
@@ -331,12 +347,26 @@ def _all_patterns(size):
     return ["leaf"] + [c for c in itertools.product(subs, repeat=4)]
 
 
+def _snapshot(ctx, rect):
+    out = {}
+    for plane in ("y", "u", "v"):
+        x, y, s = _plane_rect(plane, rect)
+        out[plane] = ctx.recon[plane][y:y + s, x:x + s].copy()
+    return out
+
+
+def _restore(ctx, rect, snap):
+    for plane in ("y", "u", "v"):
+        x, y, s = _plane_rect(plane, rect)
+        ctx.recon[plane][y:y + s, x:x + s] = snap[plane]
+
+
 def _greedy_leaf(ctx, cfg, rect):
     snap = _snapshot(ctx, rect)
     best = None
     for mode in _leaf_candidates(ctx):
         leaf = _build_leaf(ctx, mode, rect, cfg.search_range)
-        bits = _leaf_bits(leaf, rect, with_flag=rect.size > MIN_BLOCK)
+        bits = _leaf_bits(leaf, with_flag=rect.size > MIN_BLOCK)
         _apply_leaf(ctx, leaf, rect)
         dist = _block_ssd(ctx, rect)
         _restore(ctx, rect, snap)
@@ -368,12 +398,9 @@ def test_rd_search_matches_exhaustive_oracle(seed, q):
     key_recon = encode_sequence(seq, None, cfg).reconstructions[0]
     frame1 = seq[1]
     m = _estimate_frame_motion(frame1, key_recon, None, cfg)
-    warped = warp_frame(key_recon, m)
-    ctx = _FrameCtx(64, 64, cfg.q_step, INTER_FRAME, rd_lambda=cfg.rd_lambda)
-    ctx.orig = {"y": frame1.y, "u": frame1.u, "v": frame1.v}
-    ctx.warped = {"y": warped.y, "u": warped.u, "v": warped.v}
-    ctx.prev_recon = {"y": key_recon.y, "u": key_recon.u, "v": key_recon.v}
-    ctx.motion = m
+    ctx = _FrameCtx(64, 64, cfg.q_step, INTER_FRAME, key_recon=key_recon,
+                    prev_recon=key_recon, motion=m, orig=frame1,
+                    rd_lambda=cfg.rd_lambda)
 
     root = BlockRect(0, 0, 64)
     _, sbits, sdist = _search_node(ctx, root, cfg, None, None)
@@ -389,6 +416,51 @@ def test_rd_search_matches_exhaustive_oracle(seed, q):
             best = (cost, b, d)
     assert best[0] == pytest.approx(search_cost, abs=1e-9)
     assert (best[1], best[2]) == (sbits, sdist)
+
+
+def _modes(tree):
+    if isinstance(tree, list):
+        return [_modes(t) for t in tree]
+    return tree.mode, tree.mv
+
+
+@pytest.mark.parametrize("ftype", [KEY_FRAME, INTER_FRAME], ids=["key", "inter"])
+@pytest.mark.parametrize("rect", [BlockRect(64, 64, 64), BlockRect(128, 0, 64)],
+                         ids=["full", "partial"])
+def test_search_ignores_what_its_node_held(ftype, rect):
+    # _search_node reads the working planes only above and left of its rect,
+    # so the decision and the reconstruction it leaves in the rect do not
+    # depend on what the rect held before; nothing outside it is written
+    seq = random_sequence(144, 128, 2, seed=44)  # 128 + 16: a partial column
+    cfg = EncoderConfig(q_level=24, texture_mode=False)
+    key_recon = encode_sequence(seq, None, cfg).reconstructions[0]
+    m = _estimate_frame_motion(seq[1], key_recon, None, cfg)
+    rng = np.random.default_rng(45)
+    context = {p: rng.integers(0, 256, getattr(key_recon, p).shape,
+                               dtype=np.uint8) for p in ("y", "u", "v")}
+    results = []
+    for fill in ("zeros", "random"):
+        ctx = _FrameCtx(144, 128, cfg.q_step, ftype, key_recon=key_recon,
+                        prev_recon=key_recon, motion=m, orig=seq[1],
+                        rd_lambda=cfg.rd_lambda)
+        for plane, a in context.items():
+            ctx.recon[plane][:] = a
+            x, y, s = _plane_rect(plane, rect)
+            inside = ctx.recon[plane][y:y + s, x:x + s]
+            inside[:] = 0 if fill == "zeros" else rng.integers(
+                0, 256, inside.shape, dtype=np.uint8)
+        tree, bits, dist = _search_node(ctx, rect, cfg, None, None)
+        block = _snapshot(ctx, rect)
+        for plane, a in context.items():
+            x, y, s = _plane_rect(plane, rect)
+            outside = np.ones(a.shape, bool)
+            outside[y:y + s, x:x + s] = False
+            assert np.array_equal(ctx.recon[plane][outside], a[outside])
+        results.append((_modes(tree), bits, dist, block))
+    (modes0, bits0, dist0, block0), (modes1, bits1, dist1, block1) = results
+    assert (modes0, bits0, dist0) == (modes1, bits1, dist1)
+    for plane in ("y", "u", "v"):
+        assert np.array_equal(block0[plane], block1[plane])
 
 
 def test_rd_prefers_fewer_bits_at_equal_distortion():

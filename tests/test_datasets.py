@@ -143,8 +143,6 @@ def test_patch_dataset_validation_and_io(tmp_path):
     back = PatchDataset.load_npz(path)
     assert np.array_equal(ds.patches, back.patches)
     assert np.array_equal(ds.labels, back.labels)
-    both = PatchDataset.concat([ds, back])
-    assert len(both) == 10
     with pytest.raises(ValueError):
         PatchDataset(patches=np.zeros((2, 8, 8, 3), np.uint8),
                      labels=np.zeros(2))
