@@ -1,9 +1,8 @@
 """Bit-level I/O with Exp-Golomb codes, used by the bitstream codec.
 
 ue(v) is v+1 written in 2*bitlen(v+1)-1 bits: bitlen(v+1)-1 zeros, then
-v+1 itself.  se(v) is ue of v>0 -> 2v-1, v<=0 -> -2v, which is
-2*bitlen(|v|)+1 bits long.  `ue_bits` and `se_bits` give those lengths
-without writing anything.
+v+1 itself.  se(v) is ue(se_to_ue(v)).  `ue_bits` gives the length of ue()
+codes without writing anything.
 """
 
 from __future__ import annotations
@@ -22,20 +21,22 @@ class BitstreamError(ValueError):
     pass
 
 
-def ue_bits(value: int) -> int:
-    """Length in bits of ue(value)."""
-    return 2 * (value + 1).bit_length() - 1
+def se_to_ue(value):
+    """The ue() value that codes se(value): v>0 -> 2v-1, v<=0 -> -2v.
+    Works on an int or an integer array."""
+    return 2 * abs(value) - (value > 0)
 
 
-def se_bits(value: int) -> int:
-    """Length in bits of se(value)."""
-    return 2 * abs(value).bit_length() + 1
+def ue_to_se(value: int) -> int:
+    """The inverse of `se_to_ue`: odd values are positive."""
+    return (value + 1) >> 1 if value & 1 else -(value >> 1)
 
 
-def bit_length_array(values: np.ndarray) -> np.ndarray:
-    """`int.bit_length` of each non-negative integer below 2**53."""
-    # frexp's exponent of a positive integer is its bit length, and 0 for 0
-    return np.frexp(values)[1]
+def ue_bits(values) -> int:
+    """Summed length in bits of the ue() codes of an int or an integer
+    array, each value below 2**53 - 1."""
+    # frexp's exponent of a positive integer is its bit length
+    return int(2 * np.frexp(np.add(values, 1))[1].sum()) - np.size(values)
 
 
 class BitWriter:
@@ -71,14 +72,19 @@ class BitWriter:
 
     def write_ue(self, value: int) -> None:
         """Unsigned Exp-Golomb."""
-        if value < 0:
-            raise ValueError("ue() needs a non-negative value")
-        v = value + 1
-        self._put(v, 2 * v.bit_length() - 1)
+        self.write_ues((value,))
+
+    def write_ues(self, values) -> None:
+        """The ue() code of each value of an int sequence or array, in order."""
+        for value in map(int, values):
+            if value < 0:
+                raise ValueError("ue() needs a non-negative value")
+            v = value + 1
+            self._put(v, 2 * v.bit_length() - 1)
 
     def write_se(self, value: int) -> None:
-        """Signed Exp-Golomb: v>0 -> 2v-1, v<=0 -> -2v."""
-        self.write_ue(2 * value - 1 if value > 0 else -2 * value)
+        """Signed Exp-Golomb."""
+        self.write_ue(se_to_ue(value))
 
     def to_bytes(self) -> bytes:
         """Flush, padding the final byte with zero bits."""
@@ -152,5 +158,4 @@ class BitReader:
         return out
 
     def read_se(self) -> int:
-        u = self.read_ue()
-        return (u + 1) // 2 if u % 2 else -(u // 2)
+        return ue_to_se(self.read_ue())

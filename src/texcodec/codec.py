@@ -19,8 +19,8 @@ from enum import IntEnum
 import numpy as np
 
 from .analyzer import TextureMask, all_texture_mask
-from .bitio import (BitReader, BitstreamError, BitWriter, bit_length_array,
-                    se_bits, ue_bits)
+from .bitio import (BitReader, BitstreamError, BitWriter, se_to_ue, ue_bits,
+                    ue_to_se)
 from .datasets import TEXTURE as TEXTURE_LABEL
 from .frames import BLOCK, BlockRect, Frame, Sequence, crop_frame, pad16, pad_frame
 from .motion import (AffineMotion, EstimationConfig, MotionError,
@@ -34,6 +34,7 @@ SUPERBLOCK = 64
 MIN_BLOCK = 16
 LUMA_TU = 16
 CHROMA_TU = 8
+_TU = {"y": LUMA_TU, "u": CHROMA_TU, "v": CHROMA_TU}
 # Largest |level| of a quantized coefficient: a residual sample is at most
 # 255 in magnitude, so an orthonormal 16x16 DCT coefficient is at most
 # 255 * 16, and q_step >= 1.
@@ -141,7 +142,7 @@ def is_texture_block(rect: BlockRect, cur_mask: TextureMask,
 class _Leaf:
     mode: BlockMode
     mv: tuple[int, int] | None = None
-    # plane -> list of quantized level arrays, TU raster order
+    # plane -> (k, tu, tu) quantized levels of the leaf's k TUs, raster order
     levels: dict = field(default_factory=dict)
     # plane -> reconstructed block, kept by the RD search to paste back
     recon: dict | None = None
@@ -241,10 +242,16 @@ def _prediction(ctx: _FrameCtx, leaf: _Leaf, rect: BlockRect,
     return ctx.warped[plane][y:y + s, x:x + s].astype(np.int64)
 
 
-def _tu_grid(plane, rect):
-    x, y, s = _plane_rect(plane, rect)
-    tu = LUMA_TU if plane == "y" else CHROMA_TU
-    return [(x + j, y + i) for i in range(0, s, tu) for j in range(0, s, tu)]
+def _tiles(block: np.ndarray, tu: int) -> np.ndarray:
+    """An (s, s) block as its (k, tu, tu) TUs in raster order."""
+    m = block.shape[0] // tu
+    return block.reshape(m, tu, m, tu).swapaxes(1, 2).reshape(-1, tu, tu)
+
+
+def _untile(tiles: np.ndarray, s: int) -> np.ndarray:
+    """The inverse of `_tiles`: (k, tu, tu) TUs -> an (s, s) block."""
+    tu = tiles.shape[-1]
+    return tiles.reshape(s // tu, s // tu, tu, tu).swapaxes(1, 2).reshape(s, s)
 
 
 def _reconstruct_leaf(ctx: _FrameCtx, leaf: _Leaf, rect: BlockRect) -> dict:
@@ -255,11 +262,8 @@ def _reconstruct_leaf(ctx: _FrameCtx, leaf: _Leaf, rect: BlockRect) -> dict:
     for plane in ("y", "u", "v"):
         recon = _prediction(ctx, leaf, rect, plane)
         if leaf.mode != BlockMode.TEXTURE:
-            x, y, _ = _plane_rect(plane, rect)
-            tu = LUMA_TU if plane == "y" else CHROMA_TU
-            for k, (tx, ty) in enumerate(_tu_grid(plane, rect)):
-                res = reconstruct_residual(leaf.levels[plane][k], ctx.q_step)
-                recon[ty - y:ty - y + tu, tx - x:tx - x + tu] += res
+            res = reconstruct_residual(leaf.levels[plane], ctx.q_step)
+            recon += _untile(res, len(recon))
         out[plane] = np.clip(recon, 0, 255).astype(np.uint8)
     return out
 
@@ -276,69 +280,63 @@ def _paste(ctx: _FrameCtx, rect: BlockRect, blocks: dict) -> None:
         ctx.recon[plane][y:y + s, x:x + s] = blocks[plane]
 
 
-def _nonzero_levels(levels: np.ndarray):
-    """Zig-zag positions and values of a TU's nonzero levels."""
+def _coeff_codes(levels: np.ndarray) -> np.ndarray:
+    """The ue() values that code a plane's (k, n, n) levels: for each TU
+    ue(count), then for each nonzero level in zig-zag order ue(run) and
+    ue(se_to_ue(level))."""
     flat = scan(levels)
-    pos = np.flatnonzero(flat)
-    return pos, flat[pos]
+    tu, pos = np.nonzero(flat)
+    counts = np.bincount(tu, minlength=len(flat))
+    first = np.cumsum(counts) - counts  # each TU's first index into `pos`
+    run = np.diff(pos, prepend=-1) - 1
+    lead = first[counts > 0]
+    run[lead] = pos[lead]  # a TU's first run counts from its start
+    codes = np.empty(len(flat) + 2 * len(pos), np.int64)
+    # TU t's ue(count) follows t counts and the 2 * first[t] earlier codes
+    codes[np.arange(len(flat)) + 2 * first] = counts
+    at = tu + 2 * np.arange(len(pos)) + 1  # where each level's ue(run) goes
+    codes[at] = run
+    codes[at + 1] = se_to_ue(flat[tu, pos])
+    return codes
 
 
-def _write_coeffs(bw: BitWriter, levels: np.ndarray) -> None:
-    pos, vals = _nonzero_levels(levels)
-    bw.write_ue(len(pos))
-    prev = -1
-    for p, v in zip(pos.tolist(), vals.tolist()):
-        bw.write_ue(p - prev - 1)
-        bw.write_se(v)
-        prev = p
-
-
-def _coeff_bits(levels: np.ndarray) -> int:
-    """Bits `_write_coeffs` writes for one TU: ue(count), then for each
-    nonzero level ue(run) + se(level), which is
-    (2*bitlen(run+1) - 1) + (2*bitlen(|level|) + 1) bits."""
-    pos, vals = _nonzero_levels(levels)
-    n = len(pos)
-    if not n:
-        return ue_bits(0)
-    args = np.empty(2 * n, np.int64)  # run + 1 of each level, then |level|
-    args[0] = pos[0] + 1
-    np.subtract(pos[1:], pos[:-1], out=args[1:n])
-    np.abs(vals, out=args[n:])
-    return ue_bits(n) + 2 * int(bit_length_array(args).sum())
-
-
-def _read_coeffs(br: BitReader, n: int) -> np.ndarray:
-    """A TU's levels: ue(count), then count pairs of ue(run) and se(level).
-    The pairs' codes are parsed in one `read_ues` call, so a malformed or
+def _read_coeffs(br: BitReader, k: int, n: int) -> np.ndarray:
+    """The inverse of `_coeff_codes`: k TUs' (k, n, n) levels.  Each TU's
+    run/level codes are parsed in one `read_ues` call, so a malformed or
     truncated code anywhere in them is reported before a range error."""
-    count = br.read_ue()
-    if count > n * n:
-        raise BitstreamError("coefficient count out of range")
-    flat = [0] * (n * n)
-    codes = iter(br.read_ues(2 * count))
-    pos = -1
-    for run in codes:
-        pos += run + 1
-        if pos >= n * n:
-            raise BitstreamError("coefficient position out of range")
-        u = next(codes)  # se(level) as read_se maps it: odd u > 0, even u <= 0
-        if u > 2 * MAX_LEVEL:  # exactly when |level| > MAX_LEVEL
-            raise BitstreamError("coefficient level out of range")
-        flat[pos] = (u + 1) >> 1 if u & 1 else -(u >> 1)
-    return unscan(np.array(flat, np.int64), n)
+    nn = n * n
+    flat = [0] * (k * nn)
+    for start in range(0, k * nn, nn):
+        count = br.read_ue()
+        if count > nn:
+            raise BitstreamError("coefficient count out of range")
+        codes = iter(br.read_ues(2 * count))
+        pos = start - 1
+        for run in codes:
+            pos += run + 1
+            if pos >= start + nn:
+                raise BitstreamError("coefficient position out of range")
+            level = ue_to_se(next(codes))
+            if abs(level) > MAX_LEVEL:
+                raise BitstreamError("coefficient level out of range")
+            flat[pos] = level
+    return unscan(np.array(flat, np.int64).reshape(k, nn), n)
+
+
+def _leaf_codes(leaf: _Leaf) -> np.ndarray:
+    """The ue() values `_write_leaf` writes after the mode: an INTER_MV
+    leaf's MV, then the y, u and v levels."""
+    if leaf.mode == BlockMode.TEXTURE:
+        return np.empty(0, np.int64)
+    codes = [_coeff_codes(leaf.levels[plane]) for plane in ("y", "u", "v")]
+    if leaf.mode == BlockMode.INTER_MV:
+        codes.insert(0, se_to_ue(np.array(leaf.mv, np.int64)))
+    return np.concatenate(codes)
 
 
 def _write_leaf(bw: BitWriter, leaf: _Leaf) -> None:
     bw.write_bits(int(leaf.mode), 2)
-    if leaf.mode == BlockMode.TEXTURE:
-        return
-    if leaf.mode == BlockMode.INTER_MV:
-        bw.write_se(leaf.mv[0])
-        bw.write_se(leaf.mv[1])
-    for plane in ("y", "u", "v"):
-        for lv in leaf.levels[plane]:
-            _write_coeffs(bw, lv)
+    bw.write_ues(_leaf_codes(leaf))
 
 
 def _read_leaf(br: BitReader, ctx: _FrameCtx, rect: BlockRect) -> _Leaf:
@@ -354,9 +352,9 @@ def _read_leaf(br: BitReader, ctx: _FrameCtx, rect: BlockRect) -> _Leaf:
         dx, dy = leaf.mv
         if not (0 <= x + dx <= ctx.pw - s and 0 <= y + dy <= ctx.ph - s):
             raise BitstreamError("motion vector out of frame")
+    k = (rect.size // LUMA_TU) ** 2  # TUs per plane
     for plane in ("y", "u", "v"):
-        tu = LUMA_TU if plane == "y" else CHROMA_TU
-        leaf.levels[plane] = [_read_coeffs(br, tu) for _ in _tu_grid(plane, rect)]
+        leaf.levels[plane] = _read_coeffs(br, k, _TU[plane])
     return leaf
 
 
@@ -379,25 +377,15 @@ def _build_leaf(ctx: _FrameCtx, mode: BlockMode, rect: BlockRect,
         pred = _prediction(ctx, leaf, rect, plane)
         x, y, s = _plane_rect(plane, rect)
         res = ctx.orig[plane][y:y + s, x:x + s].astype(np.int64) - pred
-        tu = LUMA_TU if plane == "y" else CHROMA_TU
-        leaf.levels[plane] = [
-            transform_quantize(res[ty - y:ty - y + tu, tx - x:tx - x + tu],
-                               ctx.q_step)
-            for tx, ty in _tu_grid(plane, rect)]
+        leaf.levels[plane] = transform_quantize(_tiles(res, _TU[plane]),
+                                                ctx.q_step)
     return leaf
 
 
 def _leaf_bits(leaf: _Leaf, with_flag: bool) -> int:
     """Bits `_write_leaf` writes for `leaf`, plus its split flag when
     `with_flag`, counted from the code lengths without writing them."""
-    bits = int(with_flag) + 2
-    if leaf.mode == BlockMode.TEXTURE:
-        return bits
-    if leaf.mode == BlockMode.INTER_MV:
-        bits += se_bits(leaf.mv[0]) + se_bits(leaf.mv[1])
-    for plane in ("y", "u", "v"):
-        bits += sum(_coeff_bits(lv) for lv in leaf.levels[plane])
-    return bits
+    return int(with_flag) + 2 + ue_bits(_leaf_codes(leaf))
 
 
 def _block_ssd(ctx: _FrameCtx, rect: BlockRect) -> int:

@@ -56,15 +56,6 @@ class Frame:
     def height(self) -> int:
         return self.y.shape[0]
 
-    def plane(self, name: str) -> np.ndarray:
-        if name == "y":
-            return self.y
-        if name == "u":
-            return self.u
-        if name == "v":
-            return self.v
-        raise ValueError(f"unknown plane {name!r}")
-
     def same_samples(self, other: "Frame") -> bool:
         return (
             np.array_equal(self.y, other.y)
@@ -263,16 +254,3 @@ def crop_frame(f: Frame, width: int, height: int) -> Frame:
         v=f.v[: (height + 1) // 2, : (width + 1) // 2],
         frame_index=f.frame_index,
     )
-
-
-def extract_block(f: Frame, rect: BlockRect, plane: str = "y") -> np.ndarray:
-    """Copy one block's samples.  Chroma rects use halved luma coordinates."""
-    p = f.plane(plane)
-    if plane == "y":
-        x, y, s = rect.x, rect.y, rect.size
-    else:
-        x, y, s = rect.x // 2, rect.y // 2, rect.size // 2
-    h, w = p.shape
-    if x < 0 or y < 0 or x + s > w or y + s > h:
-        raise ValueError(f"block {rect} out of bounds for {w}x{h} {plane} plane")
-    return p[y:y + s, x:x + s].copy()

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -111,7 +111,7 @@ def data_rate_saving(rate_a: float, rate_b: float) -> tuple[float, str]:
 
 
 # ---------------------------------------------------------------------------
-# Bjontegaard deltas (classic cubic-fit variant; piecewise-cubic switchable)
+# Bjontegaard deltas (classic cubic-fit variant)
 
 
 def _check_monotone(curve: RDCurve):
@@ -120,27 +120,19 @@ def _check_monotone(curve: RDCurve):
         warnings.warn("RD curve PSNR not strictly increasing with rate")
 
 
-def _avg_poly_diff(x1, y1, x2, y2, lo, hi, method):
-    """Average of (fit2 - fit1) over [lo, hi] in the x domain."""
-    if method == "cubic":
-        p1 = np.polyfit(x1, y1, 3)
-        p2 = np.polyfit(x2, y2, 3)
-        int1 = np.polyint(p1)
-        int2 = np.polyint(p2)
-        a1 = np.polyval(int1, hi) - np.polyval(int1, lo)
-        a2 = np.polyval(int2, hi) - np.polyval(int2, lo)
-    elif method == "pchip":
-        from scipy.interpolate import PchipInterpolator
-
-        o1, o2 = np.argsort(x1), np.argsort(x2)
-        a1 = PchipInterpolator(x1[o1], y1[o1]).integrate(lo, hi)
-        a2 = PchipInterpolator(x2[o2], y2[o2]).integrate(lo, hi)
-    else:
-        raise ValueError(f"unknown fit method {method!r}")
+def _avg_poly_diff(x1, y1, x2, y2, lo, hi):
+    """Average of (fit2 - fit1) over [lo, hi] in the x domain, with a cubic
+    fit of each curve."""
+    p1 = np.polyfit(x1, y1, 3)
+    p2 = np.polyfit(x2, y2, 3)
+    int1 = np.polyint(p1)
+    int2 = np.polyint(p2)
+    a1 = np.polyval(int1, hi) - np.polyval(int1, lo)
+    a2 = np.polyval(int2, hi) - np.polyval(int2, lo)
     return (a2 - a1) / (hi - lo)
 
 
-def bd_rate(baseline: RDCurve, test: RDCurve, method: str = "cubic") -> float:
+def bd_rate(baseline: RDCurve, test: RDCurve) -> float:
     """Average rate change of `test` vs `baseline` in percent (negative =
     savings), integrating cubic fits of log10(rate) over the common PSNR
     interval."""
@@ -151,11 +143,11 @@ def bd_rate(baseline: RDCurve, test: RDCurve, method: str = "cubic") -> float:
     if hi <= lo:
         raise MetricsError("PSNR ranges do not overlap")
     avg = _avg_poly_diff(baseline.psnrs, np.log10(baseline.rates),
-                         test.psnrs, np.log10(test.rates), lo, hi, method)
+                         test.psnrs, np.log10(test.rates), lo, hi)
     return (10.0 ** avg - 1.0) * 100.0
 
 
-def bd_psnr(baseline: RDCurve, test: RDCurve, method: str = "cubic") -> float:
+def bd_psnr(baseline: RDCurve, test: RDCurve) -> float:
     """Average PSNR change of `test` vs `baseline` in dB (positive = gain),
     integrating cubic fits of PSNR over the common log10(rate) interval."""
     for c in (baseline, test):
@@ -165,8 +157,7 @@ def bd_psnr(baseline: RDCurve, test: RDCurve, method: str = "cubic") -> float:
     hi = min(lb.max(), lt.max())
     if hi <= lo:
         raise MetricsError("rate ranges do not overlap")
-    return float(_avg_poly_diff(lb, baseline.psnrs, lt, test.psnrs,
-                                lo, hi, method))
+    return float(_avg_poly_diff(lb, baseline.psnrs, lt, test.psnrs, lo, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -187,11 +178,7 @@ def rd_sweep(seq: Sequence, masks, q_levels=DEFAULT_Q_LEVELS,
     for q in q_levels:
         row = {"q_level": q}
         for name, texture_mode in (("baseline", False), ("texture", True)):
-            cfg = EncoderConfig(
-                q_level=q, gf_group_size=base_config.gf_group_size,
-                texture_mode=texture_mode, model_kind=base_config.model_kind,
-                search_range=base_config.search_range,
-                motion_seed=base_config.motion_seed)
+            cfg = replace(base_config, q_level=q, texture_mode=texture_mode)
             enc = encode_sequence(seq, masks, cfg)
             dec = decode_sequence(enc.bitstream)
             row[f"rate_{name}"] = bits_per_frame(enc.bitstream, len(seq))

@@ -379,12 +379,11 @@ def bilinear_sample(plane: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.nda
     y1 = np.minimum(y0 + 1, h - 1)
     fx = xs - x0
     fy = ys - y0
-    p = plane.astype(np.float64)
     val = (
-        p[y0, x0] * (1 - fx) * (1 - fy)
-        + p[y0, x1] * fx * (1 - fy)
-        + p[y1, x0] * (1 - fx) * fy
-        + p[y1, x1] * fx * fy
+        plane[y0, x0] * (1 - fx) * (1 - fy)
+        + plane[y0, x1] * fx * (1 - fy)
+        + plane[y1, x0] * (1 - fx) * fy
+        + plane[y1, x1] * fx * fy
     )
     return np.clip(np.rint(val), 0, 255).astype(np.uint8)
 
@@ -394,19 +393,26 @@ def chroma_motion(m: AffineMotion) -> AffineMotion:
     return AffineMotion(m.a11, m.a12, m.a21, m.a22, m.tx / 2.0, m.ty / 2.0)
 
 
+_WARP_BAND = 16  # output rows `warp_frame` samples per step
+
+
+def _warp_plane(plane: np.ndarray, m: AffineMotion) -> np.ndarray:
+    """out[x, y] = plane[m(x, y)], sampled _WARP_BAND output rows at a time
+    so that the scratch arrays stay a small multiple of one row."""
+    h, w = plane.shape
+    out = np.empty((h, w), np.uint8)
+    x = np.arange(w, dtype=np.float64)
+    for top in range(0, h, _WARP_BAND):
+        y = np.arange(top, min(top + _WARP_BAND, h), dtype=np.float64)[:, None]
+        out[top:top + len(y)] = bilinear_sample(plane, *m.apply(x, y))
+    return out
+
+
 def warp_frame(ref: Frame, m: AffineMotion) -> Frame:
     """Warp the whole reference frame: out[x, y] = ref[m(x, y)]."""
-    h, w = ref.height, ref.width
-    yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
-    px, py = m.apply(xx, yy)
-    y = bilinear_sample(ref.y, px, py)
     mc = chroma_motion(m)
-    ch, cw = ref.u.shape
-    cyy, cxx = np.mgrid[0:ch, 0:cw].astype(np.float64)
-    cpx, cpy = mc.apply(cxx, cyy)
-    u = bilinear_sample(ref.u, cpx, cpy)
-    v = bilinear_sample(ref.v, cpx, cpy)
-    return Frame(y=y, u=u, v=v, frame_index=ref.frame_index,
+    return Frame(y=_warp_plane(ref.y, m), u=_warp_plane(ref.u, mc),
+                 v=_warp_plane(ref.v, mc), frame_index=ref.frame_index,
                  orig_width=ref.orig_width, orig_height=ref.orig_height)
 
 

@@ -1,5 +1,6 @@
 """Residual transform coding: orthonormal 2-D DCT-II, uniform quantization
-and zig-zag scan orders.
+and zig-zag scan orders.  The transforms and scans act on the last two axes,
+so a stack of blocks is coded in one call.
 
 Quantization uses a direct step mapping (q_step = q_level) and rounds half
 away from zero.  The per-coefficient reconstruction error is bounded by
@@ -16,14 +17,13 @@ from scipy.fft import dctn, idctn
 
 
 def forward_transform(residual: np.ndarray) -> np.ndarray:
-    return dctn(residual.astype(np.float64), norm="ortho")
+    return dctn(residual.astype(np.float64), norm="ortho", axes=(-2, -1))
 
 
 def inverse_transform(coeffs: np.ndarray) -> np.ndarray:
     """Inverse DCT rounded to integer residual samples."""
-    return np.rint(idctn(np.asarray(coeffs, np.float64), norm="ortho")).astype(
-        np.int64
-    )
+    return np.rint(idctn(np.asarray(coeffs, np.float64), norm="ortho",
+                         axes=(-2, -1))).astype(np.int64)
 
 
 def quantize(coeffs: np.ndarray, q_step: int) -> np.ndarray:
@@ -69,10 +69,14 @@ def _zigzag_index(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def scan(levels: np.ndarray) -> np.ndarray:
-    fwd, _ = _zigzag_index(levels.shape[0])
-    return np.asarray(levels, np.int64).reshape(-1)[fwd]
+    """(..., n, n) blocks -> (..., n*n) in zig-zag order."""
+    levels = np.asarray(levels, np.int64)
+    fwd, _ = _zigzag_index(levels.shape[-1])
+    return levels.reshape(*levels.shape[:-2], -1).take(fwd, axis=-1)
 
 
 def unscan(flat: np.ndarray, n: int) -> np.ndarray:
+    """The inverse of `scan`: (..., n*n) -> (..., n, n)."""
+    flat = np.asarray(flat, np.int64)
     _, inv = _zigzag_index(n)
-    return np.asarray(flat, np.int64)[inv].reshape(n, n)
+    return flat.take(inv, axis=-1).reshape(*flat.shape[:-1], n, n)

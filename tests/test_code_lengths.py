@@ -1,17 +1,17 @@
-"""Closed-form code lengths against the bits the writer emits, and the
-word-level bit writer/reader against a bit-by-bit reference."""
+"""Closed-form code lengths against the bits the writer emits, a leaf's
+coefficient codes against a per-TU reference, and the word-level bit
+writer/reader against a bit-by-bit reference."""
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from texcodec.bitio import (BitReader, BitstreamError, BitWriter, se_bits,
+from texcodec.bitio import (BitReader, BitstreamError, BitWriter, se_to_ue,
                             ue_bits)
 from texcodec.codec import (CHROMA_TU, LUMA_TU, MAX_LEVEL, BlockMode, _Leaf,
-                            _leaf_bits, _read_coeffs, _tu_grid, _write_coeffs,
-                            _write_leaf)
-from texcodec.frames import BlockRect
+                            _coeff_codes, _leaf_bits, _read_coeffs, _write_leaf)
+from texcodec.transform import zigzag_order
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True,
                     database=None)
@@ -99,24 +99,25 @@ def test_ue_bits_matches_writer(value):
 def test_se_bits_matches_writer(value):
     bw = BitWriter()
     bw.write_se(value)
-    assert se_bits(value) == bw.bits_written == len(_ref_se(value))
+    assert ue_bits(se_to_ue(value)) == bw.bits_written == len(_ref_se(value))
 
 
-def _levels(rng, n, kind):
+def _levels(rng, k, n, kind):
+    """(k, n, n) levels of k TUs, each with its own density of nonzeros; a
+    density below 0 makes an all-zero TU."""
     if kind == "zero":
-        return np.zeros((n, n), np.int64)
+        return np.zeros((k, n, n), np.int64)
     if kind == "large":
-        out = rng.integers(-MAX_LEVEL, MAX_LEVEL + 1, (n, n))
+        out = rng.integers(-MAX_LEVEL, MAX_LEVEL + 1, (k, n, n))
     else:
-        out = rng.integers(-30, 31, (n, n))
-    density = rng.uniform(0.0, 1.0)
-    return np.where(rng.uniform(size=(n, n)) < density, out, 0)
+        out = rng.integers(-30, 31, (k, n, n))
+    density = rng.uniform(-0.5, 1.0, (k, 1, 1))
+    return np.where(rng.uniform(size=(k, n, n)) < density, out, 0)
 
 
 @st.composite
 def _leaves(draw):
     size = draw(st.sampled_from((16, 32, 64)))
-    rect = BlockRect(0, 0, size)
     mode = draw(st.sampled_from(list(BlockMode)))
     leaf = _Leaf(mode=mode)
     if mode == BlockMode.INTER_MV:
@@ -124,10 +125,10 @@ def _leaves(draw):
     if mode != BlockMode.TEXTURE:
         rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
         kind = draw(st.sampled_from(("zero", "small", "large")))
+        k = (size // LUMA_TU) ** 2
         for plane in ("y", "u", "v"):
             tu = LUMA_TU if plane == "y" else CHROMA_TU
-            leaf.levels[plane] = [_levels(rng, tu, kind)
-                                  for _ in _tu_grid(plane, rect)]
+            leaf.levels[plane] = _levels(rng, k, tu, kind)
     return leaf
 
 
@@ -141,15 +142,42 @@ def test_leaf_bits_matches_writer(leaf, with_flag):
     assert _leaf_bits(leaf, with_flag) == bw.bits_written
 
 
+def _ref_coeff_codes(levels):
+    """Reference for `_coeff_codes`, one TU at a time: the levels in zig-zag
+    order, ue(count), then ue(run) and se(level) of each nonzero level."""
+    codes = []
+    for tu in levels:
+        scanned = [int(tu[i, j]) for i, j in zigzag_order(len(tu))]
+        nonzero = [(p, v) for p, v in enumerate(scanned) if v]
+        codes.append(len(nonzero))
+        prev = -1
+        for p, v in nonzero:
+            codes += [p - prev - 1, 2 * v - 1 if v > 0 else -2 * v]
+            prev = p
+    return codes
+
+
+_PLANE_LEVELS = (st.integers(0, 2 ** 32 - 1), st.sampled_from((1, 4, 16)),
+                 st.sampled_from((LUMA_TU, CHROMA_TU)),
+                 st.sampled_from(("zero", "small", "large")))
+
+
 @SETTINGS
-@given(st.integers(0, 2 ** 32 - 1), st.sampled_from((LUMA_TU, CHROMA_TU)),
-       st.sampled_from(("zero", "small", "large")))
-def test_coeffs_roundtrip(seed, n, kind):
-    levels = _levels(np.random.default_rng(seed), n, kind)
+@given(*_PLANE_LEVELS)
+def test_coeff_codes_match_reference(seed, k, n, kind):
+    levels = _levels(np.random.default_rng(seed), k, n, kind)
+    assert _coeff_codes(levels).tolist() == _ref_coeff_codes(levels)
+
+
+@SETTINGS
+@given(*_PLANE_LEVELS)
+def test_coeffs_roundtrip(seed, k, n, kind):
+    levels = _levels(np.random.default_rng(seed), k, n, kind)
     bw = BitWriter()
-    _write_coeffs(bw, levels)
+    bw.write_ues(_coeff_codes(levels))
     br = BitReader(bw.to_bytes())
-    assert np.array_equal(_read_coeffs(br, n), levels)
+    assert np.array_equal(_read_coeffs(br, k, n), levels)
+    assert br._pos == bw.bits_written
 
 
 # ---------------------------------------------------------------------------
@@ -264,12 +292,13 @@ def _coeff_stream(pairs):
 def test_read_coeffs_reports_first_range_error_in_stream_order():
     n = CHROMA_TU
     with pytest.raises(BitstreamError, match="count"):
-        _read_coeffs(_coeff_stream([(0, 1)] * (n * n + 1)), n)
+        _read_coeffs(_coeff_stream([(0, 1)] * (n * n + 1)), 1, n)
     with pytest.raises(BitstreamError, match="level"):
-        _read_coeffs(_coeff_stream([(0, MAX_LEVEL + 1), (n * n, 1)]), n)
+        _read_coeffs(_coeff_stream([(0, MAX_LEVEL + 1), (n * n, 1)]), 1, n)
     with pytest.raises(BitstreamError, match="position"):
-        _read_coeffs(_coeff_stream([(n * n, MAX_LEVEL + 1), (0, 1)]), n)
+        _read_coeffs(_coeff_stream([(n * n, MAX_LEVEL + 1), (0, 1)]), 1, n)
     with pytest.raises(BitstreamError, match="position"):
-        _read_coeffs(_coeff_stream([(0, 1), (n * n - 1, -MAX_LEVEL - 1)]), n)
-    levels = _read_coeffs(_coeff_stream([(0, -MAX_LEVEL), (n * n - 2, MAX_LEVEL)]), n)
+        _read_coeffs(_coeff_stream([(0, 1), (n * n - 1, -MAX_LEVEL - 1)]), 1, n)
+    levels = _read_coeffs(
+        _coeff_stream([(0, -MAX_LEVEL), (n * n - 2, MAX_LEVEL)]), 1, n)
     assert levels.flat[0] == -MAX_LEVEL and levels.flat[n * n - 1] == MAX_LEVEL

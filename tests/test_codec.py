@@ -283,10 +283,10 @@ def test_coefficient_level_bound():
         bw.write_se(level)
         br = BitReader(bw.to_bytes())
         if ok:
-            assert _read_coeffs(br, 16)[0, 0] == level
+            assert _read_coeffs(br, 1, 16)[0, 0, 0] == level
         else:
             with pytest.raises(BitstreamError, match="level"):
-                _read_coeffs(br, 16)
+                _read_coeffs(br, 1, 16)
 
 
 def test_oversized_level_is_a_bitstream_error():

@@ -5,9 +5,9 @@ import io
 import numpy as np
 import pytest
 
-from texcodec.frames import (BLOCK, BlockRect, Frame, Sequence, Y4MError,
-                             crop_frame, extract_block, frame_size_bytes,
-                             pad16, pad_frame, read_y4m, read_yuv, write_y4m)
+from texcodec.frames import (BlockRect, Frame, Sequence, Y4MError, crop_frame,
+                             frame_size_bytes, pad16, pad_frame, read_y4m,
+                             read_yuv, write_y4m)
 
 
 def _random_frame(rng, w, h, index=0):
@@ -159,61 +159,6 @@ def test_crop_inverts_pad():
     assert c.same_samples(f)
     with pytest.raises(ValueError):
         crop_frame(f, 100, 100)
-
-
-# ---------------------------------------------------------------------------
-# blocks
-
-
-def test_extract_block_constant_frame():
-    f = Frame(y=np.full((16, 16), 128, np.uint8),
-              u=np.full((8, 8), 128, np.uint8),
-              v=np.full((8, 8), 128, np.uint8))
-    b = extract_block(f, BlockRect(0, 0, 16))
-    assert b.shape == (16, 16)
-    assert np.all(b == 128)
-
-
-def test_extract_block_coordinate_ramp():
-    y = np.tile(np.arange(32, dtype=np.uint8), (16, 1))
-    f = Frame(y=y, u=np.zeros((8, 16), np.uint8), v=np.zeros((8, 16), np.uint8))
-    b = extract_block(f, BlockRect(16, 0, 16))
-    assert np.array_equal(b, np.tile(np.arange(16, 32, dtype=np.uint8), (16, 1)))
-
-
-def test_extract_block_unaligned_offset_allowed():
-    rng = np.random.default_rng(5)
-    f = _random_frame(rng, 32, 32)
-    b = extract_block(f, BlockRect(8, 0, 16))
-    assert np.array_equal(b, f.y[0:16, 8:24])
-
-
-def test_extract_block_out_of_bounds():
-    rng = np.random.default_rng(6)
-    f = _random_frame(rng, 32, 32)
-    with pytest.raises(ValueError):
-        extract_block(f, BlockRect(24, 0, 16))
-
-
-def test_extract_block_chroma_halved_coordinates():
-    rng = np.random.default_rng(8)
-    f = _random_frame(rng, 32, 32)
-    b = extract_block(f, BlockRect(16, 16, 16), plane="u")
-    assert np.array_equal(b, f.u[8:16, 8:16])
-
-
-def test_adjacent_blocks_tile_plane():
-    rng = np.random.default_rng(9)
-    f = _random_frame(rng, 48, 32)
-    total = 0
-    acc = np.zeros_like(f.y, dtype=np.int64)
-    for y in range(0, 32, BLOCK):
-        for x in range(0, 48, BLOCK):
-            b = extract_block(f, BlockRect(x, y, BLOCK))
-            total += b.size
-            acc[y:y + BLOCK, x:x + BLOCK] += 1
-    assert total == f.y.size
-    assert np.all(acc == 1)
 
 
 # ---------------------------------------------------------------------------

@@ -194,15 +194,6 @@ def test_bd_requires_overlap():
         bd_psnr(BASE, lowrate)
 
 
-def test_bd_pchip_method_close_to_cubic():
-    test = _curve([(900, 30.5), (1900, 33.4), (3800, 36.2), (7600, 39.1)])
-    cubic = bd_rate(BASE, test, method="cubic")
-    pchip = bd_rate(BASE, test, method="pchip")
-    assert abs(cubic - pchip) < 2.0
-    with pytest.raises(ValueError, match="unknown fit method"):
-        bd_rate(BASE, test, method="spline")
-
-
 def test_non_monotone_curve_warns():
     wavy = _curve([(1000, 30.0), (2000, 29.0), (4000, 36.0), (8000, 39.0)])
     with pytest.warns(UserWarning, match="not strictly increasing"):

@@ -146,3 +146,16 @@ def test_scan_unscan_inverse():
     for n in (8, 16):
         m = rng.integers(-50, 50, (n, n))
         assert np.array_equal(unscan(scan(m), n), m)
+
+
+def test_block_stacks_match_per_block_calls():
+    # the codec transforms, quantizes and scans a leaf's TUs as one stack
+    rng = np.random.default_rng(5)
+    for k, n in ((1, 16), (4, 8), (16, 16), (64, 8)):
+        r = rng.integers(-255, 256, (k, n, n))
+        levels = transform_quantize(r, 3)
+        assert np.array_equal(levels, [transform_quantize(b, 3) for b in r])
+        assert np.array_equal(reconstruct_residual(levels, 3),
+                              [reconstruct_residual(b, 3) for b in levels])
+        assert np.array_equal(scan(levels), [scan(b) for b in levels])
+        assert np.array_equal(unscan(scan(levels), n), levels)
