@@ -82,10 +82,6 @@ class BitWriter:
             v = value + 1
             self._put(v, 2 * v.bit_length() - 1)
 
-    def write_se(self, value: int) -> None:
-        """Signed Exp-Golomb."""
-        self.write_ue(se_to_ue(value))
-
     def to_bytes(self) -> bytes:
         """Flush, padding the final byte with zero bits."""
         nacc = self._nacc

@@ -170,9 +170,13 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_rd_sweep(args) -> int:
+    try:
+        q_levels = tuple(int(q) for q in args.q.split(","))
+    except ValueError as e:
+        raise UsageError(f"bad --q {args.q!r}, expected comma-separated "
+                         f"integers") from e
     seq = _load_sequence(args.input, args.size, args.frames)
     masks = _load_masks(args.masks, Path(args.input).stem, len(seq))
-    q_levels = tuple(int(q) for q in args.q.split(","))
     base = EncoderConfig(gf_group_size=args.gf,
                          model_kind=MotionModelKind(args.model),
                          motion_seed=args.seed)

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import IntEnum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -500,10 +501,72 @@ def _estimate_frame_motion(cur: Frame, key_recon: Frame, cur_mask, cfg):
     return AffineMotion.identity()
 
 
-def encode_sequence(seq: Sequence, masks, config: EncoderConfig) -> EncodeResult:
-    """Encode a sequence; returns the TXC1 bitstream, per-frame stats, the
-    encoder-side reconstructions and a (rect, mode) trace per frame."""
-    if config.texture_mode and (masks is None or len(masks) != len(seq)):
+class _CodedFrame(NamedTuple):
+    data: bytes  # frame header, payload length and payload
+    recon: Frame
+    trace: list
+    stats: FrameStats
+    crc: int
+
+
+def _encode_frame(i: int, frame: Frame, cur_mask, config: EncoderConfig,
+                  key_recon: Frame | None, prev_recon: Frame | None,
+                  key_mask, width: int, height: int) -> _CodedFrame:
+    """Code padded frame `i`.  A KEY frame reads neither the references,
+    the masks nor `config.texture_mode`."""
+    is_key = i % config.gf_group_size == 0
+    ftype = KEY_FRAME if is_key else INTER_FRAME
+    pw, ph = frame.width, frame.height
+    header = struct.pack("<BB", ftype, config.q_level)
+    m = ref_mask = None
+    if not is_key:
+        m = _estimate_frame_motion(frame, key_recon, cur_mask, config)
+        header += struct.pack("<6i", *(int(round(v * 65536.0))
+                                       for v in m.as_tuple()))
+        ref_mask = key_mask
+    ctx = _FrameCtx(pw, ph, config.q_step, ftype, key_recon=key_recon,
+                    prev_recon=prev_recon, motion=m, orig=frame,
+                    rd_lambda=config.rd_lambda)
+
+    bw = BitWriter()
+    trace = []
+    for rect in _superblocks(ctx):
+        tree, _, _ = _search_node(ctx, rect, config, cur_mask, ref_mask)
+        _write_tree(bw, ctx, tree, rect, trace)
+    payload = bw.to_bytes()
+    data = header + struct.pack("<I", len(payload)) + payload
+
+    recon = ctx.recon_frame(i, width, height)
+    mode_counts = {mode.name: 0 for mode in BlockMode}
+    tex_area = 0
+    for rect, mode in trace:
+        mode_counts[mode.name] += 1
+        if mode == BlockMode.TEXTURE:
+            tex_area += rect.size * rect.size
+    stats = FrameStats(
+        frame_index=i,
+        frame_type="KEY" if is_key else "INTER",
+        bits=8 * len(data),
+        mode_counts=mode_counts,
+        texture_area_fraction=tex_area / (pw * ph),
+    )
+    return _CodedFrame(data, recon, trace, stats, _recon_crc(recon))
+
+
+def _encode(seq: Sequence, masks,
+            configs: list[EncoderConfig]) -> list[EncodeResult]:
+    """Encode a sequence once per config; the configs may differ only in
+    `texture_mode`.  Each KEY frame is coded once and shared by every
+    config, as it reads neither the masks nor `texture_mode`; each config
+    codes its own INTER frames, each predicted from that config's previous
+    reconstruction."""
+    first = configs[0] if configs else None
+    if first is None or any(replace(c, texture_mode=first.texture_mode)
+                            != first for c in configs):
+        raise ValueError("configs must be given and differ only in "
+                         "texture_mode")
+    if any(c.texture_mode for c in configs) and (
+            masks is None or len(masks) != len(seq)):
         raise ValueError("texture_mode requires one mask per frame")
     padded = [pad_frame(f) for f in seq]
     pw, ph = padded[0].width, padded[0].height
@@ -514,63 +577,37 @@ def encode_sequence(seq: Sequence, masks, config: EncoderConfig) -> EncodeResult
                     f"mask grid {m.grid_w}x{m.grid_h} does not match padded "
                     f"frame {pw}x{ph}")
 
-    out = bytearray()
-    out += struct.pack("<4sBHHHBB", MAGIC, VERSION, seq.width, seq.height,
-                       len(seq), config.gf_group_size,
-                       _MODEL_CODE[config.model_kind])
-    stats, recons, traces, crcs = [], [], [], []
-    prev_recon = key_recon = None
-    key_mask = None
+    coded = [[] for _ in configs]  # per config, a _CodedFrame per frame
+    key = key_mask = None  # the group's KEY frame, the same for every config
     for i, frame in enumerate(padded):
-        is_key = i % config.gf_group_size == 0
-        ftype = KEY_FRAME if is_key else INTER_FRAME
         cur_mask = masks[i] if masks is not None else None
-        header = struct.pack("<BB", ftype, config.q_level)
-        m = ref_mask = None
-        if not is_key:
-            m = _estimate_frame_motion(frame, key_recon, cur_mask, config)
-            header += struct.pack("<6i", *(int(round(v * 65536.0))
-                                           for v in m.as_tuple()))
-            ref_mask = key_mask
-        ctx = _FrameCtx(pw, ph, config.q_step, ftype, key_recon=key_recon,
-                        prev_recon=prev_recon, motion=m, orig=frame,
-                        rd_lambda=config.rd_lambda)
-
-        bw = BitWriter()
-        trace = []
-        for rect in _superblocks(ctx):
-            tree, _, _ = _search_node(ctx, rect, config, cur_mask, ref_mask)
-            _write_tree(bw, ctx, tree, rect, trace)
-        payload = bw.to_bytes()
-        out += header
-        out += struct.pack("<I", len(payload))
-        out += payload
-
-        recon = ctx.recon_frame(i, seq.width, seq.height)
-        crcs.append(_recon_crc(recon))
-        recons.append(recon)
-        traces.append(trace)
-        prev_recon = recon
-        if is_key:
-            key_recon = recon
+        if i % first.gf_group_size == 0:
+            key = _encode_frame(i, frame, cur_mask, first, None, None, None,
+                                seq.width, seq.height)
             key_mask = cur_mask
-        mode_counts = {m.name: 0 for m in BlockMode}
-        tex_area = 0
-        for rect, mode in trace:
-            mode_counts[mode.name] += 1
-            if mode == BlockMode.TEXTURE:
-                tex_area += rect.size * rect.size
-        stats.append(FrameStats(
-            frame_index=i,
-            frame_type="KEY" if is_key else "INTER",
-            bits=8 * (len(header) + 4 + len(payload)),
-            mode_counts=mode_counts,
-            texture_area_fraction=tex_area / (pw * ph),
-        ))
-    for crc in crcs:
-        out += struct.pack("<I", crc)
-    return EncodeResult(bitstream=bytes(out), frame_stats=stats,
-                        reconstructions=recons, traces=traces)
+            for frames in coded:
+                frames.append(key)
+            continue
+        for cfg, frames in zip(configs, coded):
+            frames.append(_encode_frame(i, frame, cur_mask, cfg, key.recon,
+                                        frames[-1].recon, key_mask,
+                                        seq.width, seq.height))
+
+    head = struct.pack("<4sBHHHBB", MAGIC, VERSION, seq.width, seq.height,
+                       len(seq), first.gf_group_size,
+                       _MODEL_CODE[first.model_kind])
+    return [EncodeResult(
+        bitstream=b"".join([head, *(f.data for f in frames),
+                            *(struct.pack("<I", f.crc) for f in frames)]),
+        frame_stats=[f.stats for f in frames],
+        reconstructions=[f.recon for f in frames],
+        traces=[f.trace for f in frames]) for frames in coded]
+
+
+def encode_sequence(seq: Sequence, masks, config: EncoderConfig) -> EncodeResult:
+    """Encode a sequence; returns the TXC1 bitstream, per-frame stats, the
+    encoder-side reconstructions and a (rect, mode) trace per frame."""
+    return _encode(seq, masks, [config])[0]
 
 
 def _recon_crc(f: Frame) -> int:

@@ -2,7 +2,7 @@
 
 import struct
 
-from texcodec.bitio import BitWriter
+from texcodec.bitio import BitWriter, se_to_ue
 from texcodec.codec import KEY_FRAME, MAGIC, VERSION, BlockMode
 
 
@@ -26,4 +26,4 @@ def huge_level_tu(bw: BitWriter) -> None:
     """One nonzero level, se(2**63): ue(1) ue(0) se(2**63)."""
     bw.write_ue(1)
     bw.write_ue(0)
-    bw.write_se(2 ** 63)
+    bw.write_ue(se_to_ue(2 ** 63))

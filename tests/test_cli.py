@@ -143,6 +143,17 @@ def test_rd_sweep_and_bd_agree(workdir, tmp_path, capsys):
     assert report["bd_rate_percent"] == pytest.approx(bd_rate(base, test))
 
 
+def test_rd_sweep_bad_q_levels(workdir, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    args = ["rd-sweep", "--input", str(workdir / "clip.y4m"),
+            "--masks", str(workdir / "masks"), "--out", str(out), "--q"]
+    assert main(args + ["16,24,x,32"]) == 2  # not integers: a usage error
+    assert "--q" in capsys.readouterr().err
+    assert main(args + ["16,24,28"]) == 1  # three levels: a domain error
+    assert "4 distinct ints" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_motion_prints_six_parameters(workdir, tmp_path, capsys):
     mask = str(Path(workdir) / "masks" / mask_filename("clip", 1))
     assert main(["motion", "--cur", str(workdir / "clip.y4m"),

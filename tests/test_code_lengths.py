@@ -77,7 +77,7 @@ def _write(ops):
             bw.write_ue(op[1])
             ref.append(_ref_ue(op[1]))
         else:
-            bw.write_se(op[1])
+            bw.write_ue(se_to_ue(op[1]))
             ref.append(_ref_se(op[1]))
     return bw, "".join(ref)
 
@@ -98,7 +98,7 @@ def test_ue_bits_matches_writer(value):
 @given(st.integers(-2 ** 40, 2 ** 40))
 def test_se_bits_matches_writer(value):
     bw = BitWriter()
-    bw.write_se(value)
+    bw.write_ue(se_to_ue(value))
     assert ue_bits(se_to_ue(value)) == bw.bits_written == len(_ref_se(value))
 
 
@@ -285,7 +285,7 @@ def _coeff_stream(pairs):
     bw.write_ue(len(pairs))
     for run, level in pairs:
         bw.write_ue(run)
-        bw.write_se(level)
+        bw.write_ue(se_to_ue(level))
     return BitReader(bw.to_bytes())
 
 

@@ -11,17 +11,18 @@ import pytest
 from crafted_streams import huge_level_tu, single_tu_stream
 from texture_oracle import is_texture_block_oracle
 from texcodec.analyzer import TextureMask, all_texture_mask
-from texcodec.bitio import BitReader, BitstreamError, BitWriter
+from texcodec.bitio import BitReader, BitstreamError, BitWriter, se_to_ue
 from texcodec.codec import (INTER_FRAME, KEY_FRAME, MAGIC, MAX_LEVEL,
                             MIN_BLOCK, SUPERBLOCK, VERSION, BlockMode,
                             EncoderConfig, _FrameCtx, _Leaf, _apply_leaf,
-                            _block_ssd, _build_leaf, _estimate_frame_motion,
-                            _leaf_bits, _leaf_candidates, _plane_rect,
-                            _read_coeffs, _search_node, decode_sequence,
-                            encode_sequence, is_texture_block)
+                            _block_ssd, _build_leaf, _encode,
+                            _estimate_frame_motion, _leaf_bits,
+                            _leaf_candidates, _plane_rect, _read_coeffs,
+                            _search_node, decode_sequence, encode_sequence,
+                            is_texture_block)
 from texcodec.datasets import NON_TEXTURE, TEXTURE
 from texcodec.frames import BLOCK, BlockRect, Frame, Sequence, pad16
-from texcodec.motion import AffineMotion
+from texcodec.motion import AffineMotion, MotionModelKind
 from texcodec.sequences import _noise_texture, panning_texture_sequence, random_sequence
 
 
@@ -280,7 +281,7 @@ def test_coefficient_level_bound():
         bw = BitWriter()
         bw.write_ue(1)
         bw.write_ue(0)
-        bw.write_se(level)
+        bw.write_ue(se_to_ue(level))
         br = BitReader(bw.to_bytes())
         if ok:
             assert _read_coeffs(br, 1, 16)[0, 0, 0] == level
@@ -334,6 +335,43 @@ def test_encode_requires_masks_in_texture_mode():
     bad = [all_texture_mask(1, 1, frame_index=i) for i in range(2)]
     with pytest.raises(ValueError, match="grid"):
         encode_sequence(seq, bad, EncoderConfig())
+
+
+def _frame_fields(f: Frame):
+    return (f.y.tobytes(), f.u.tobytes(), f.v.tobytes(), f.frame_index,
+            f.orig_width, f.orig_height)
+
+
+def _result_fields(enc):
+    return (enc.bitstream, [s.as_dict() for s in enc.frame_stats],
+            [_frame_fields(f) for f in enc.reconstructions], enc.traces)
+
+
+def test_shared_key_frames_match_separate_encodes():
+    seq, masks = panning_texture_sequence(width=96, height=64, n_frames=6,
+                                          seed=8)
+    for q in (8, 32):
+        off = EncoderConfig(q_level=q, gf_group_size=4, texture_mode=False)
+        on = EncoderConfig(q_level=q, gf_group_size=4, texture_mode=True)
+        shared = _encode(seq, masks, [off, on])
+        separate = [encode_sequence(seq, masks, cfg) for cfg in (off, on)]
+        assert [s.frame_type for s in shared[0].frame_stats] == [
+            "KEY", "INTER", "INTER", "INTER", "KEY", "INTER"]
+        # texture mode changes the INTER frames, so sharing one would show
+        assert separate[0].bitstream != separate[1].bitstream
+        for a, b in zip(shared, separate):
+            assert _result_fields(a) == _result_fields(b)
+    base = EncoderConfig(gf_group_size=4)
+    for other in (EncoderConfig(q_level=16, gf_group_size=4),
+                  EncoderConfig(gf_group_size=8),
+                  EncoderConfig(gf_group_size=4, motion_seed=1),
+                  EncoderConfig(gf_group_size=4, search_range=8),
+                  EncoderConfig(gf_group_size=4,
+                                model_kind=MotionModelKind.AFFINE)):
+        with pytest.raises(ValueError, match="differ only in texture_mode"):
+            _encode(seq, masks, [base, other])
+    with pytest.raises(ValueError, match="differ only in texture_mode"):
+        _encode(seq, masks, [])
 
 
 # ---------------------------------------------------------------------------

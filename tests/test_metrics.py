@@ -1,11 +1,16 @@
 """Rate-distortion metrics: non-texture PSNR, rate arithmetic and the
 Bjontegaard deltas, plus a small end-to-end sweep."""
 
+import json
+import multiprocessing
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from texcodec import metrics
 from texcodec.analyzer import TextureMask, all_texture_mask
-from texcodec.codec import EncoderConfig
+from texcodec.codec import EncoderConfig, decode_sequence, encode_sequence
 from texcodec.datasets import NON_TEXTURE, TEXTURE
 from texcodec.frames import Frame, Sequence
 from texcodec.metrics import (DEFAULT_Q_LEVELS, MetricsError, RDCurve, RDPoint,
@@ -225,3 +230,66 @@ def test_rd_sweep_report_shape_and_consistency():
     text = format_report(report)
     assert "BD-RATE:" in text and "BD-PSNR:" in text
     assert len(text.splitlines()) == 6
+
+
+def _reference_report(seq, masks, q_levels, base_config):
+    """The sweep's report from one-config encodes run one after the other."""
+    levels = []
+    for q in q_levels:
+        row = {"q_level": q}
+        for name, texture_mode in (("baseline", False), ("texture", True)):
+            cfg = replace(base_config, q_level=q, texture_mode=texture_mode)
+            enc = encode_sequence(seq, masks, cfg)
+            dec = decode_sequence(enc.bitstream)
+            row[f"rate_{name}"] = bits_per_frame(enc.bitstream, len(seq))
+            row[f"psnr_{name}"] = psnr_nontexture(seq, dec.sequence, masks)
+        pct, which = data_rate_saving(row["rate_baseline"], row["rate_texture"])
+        row["saving_percent"] = pct
+        row["smaller_rate"] = {"first": "baseline", "second": "texture",
+                               "equal": "equal"}[which]
+        levels.append(row)
+    base = _curve([(r["rate_baseline"], r["psnr_baseline"]) for r in levels])
+    test = _curve([(r["rate_texture"], r["psnr_texture"]) for r in levels])
+    return {
+        "q_levels": list(q_levels),
+        "levels": levels,
+        "baseline_curve": [{"rate": p.rate, "psnr": p.psnr}
+                           for p in base.points],
+        "texture_curve": [{"rate": p.rate, "psnr": p.psnr}
+                          for p in test.points],
+        "bd_rate_percent": bd_rate(base, test),
+        "bd_psnr_db": bd_psnr(base, test),
+    }
+
+
+def test_rd_sweep_pool_matches_serial_reference_and_leaves_no_child():
+    seq, masks = panning_texture_sequence(width=64, height=64, n_frames=3,
+                                          seed=4)
+    cfg = EncoderConfig(gf_group_size=4)
+    q_levels = (12, 20, 28, 40)
+    report = rd_sweep(seq, masks, q_levels=q_levels, base_config=cfg)
+    assert multiprocessing.active_children() == []
+    assert json.dumps(report) == json.dumps(
+        _reference_report(seq, masks, q_levels, cfg))
+
+
+def test_rd_sweep_worker_error_propagates_and_leaves_no_child():
+    seq, _ = panning_texture_sequence(width=64, height=64, n_frames=2, seed=4)
+    bad = [all_texture_mask(3, 3, frame_index=i) for i in range(2)]
+    with pytest.raises(ValueError, match="mask grid"):  # raised in a worker
+        rd_sweep(seq, bad)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("q_levels", [
+    (16, 24, 28), (16, 24, 28, 32, 40), (16, 24, 24, 32), (0, 24, 28, 32),
+    (16, 24, 28, 64), (16.0, 24, 28, 32), ("16", 24, 28, 32),
+    (True, 24, 28, 32)])
+def test_rd_sweep_rejects_bad_q_levels_before_encoding(q_levels, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("rd_sweep started a pool")
+    monkeypatch.setattr(metrics.multiprocessing, "get_context", no_pool)
+    seq, masks = panning_texture_sequence(width=64, height=64, n_frames=2,
+                                          seed=4)
+    with pytest.raises(MetricsError, match="4 distinct ints"):
+        rd_sweep(seq, masks, q_levels=q_levels)
