@@ -169,11 +169,23 @@ def bd_psnr(baseline: RDCurve, test: RDCurve) -> float:
 DEFAULT_Q_LEVELS = (16, 24, 28, 32)
 
 
-def _usable_cpus() -> int:
+def _usable_cpus() -> list[int]:
     try:
-        return len(os.sched_getaffinity(0))
+        return sorted(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+        return list(range(os.cpu_count() or 1))
+
+
+def _start_worker(cpus: list[int], started) -> None:
+    """Initializer of `rd_sweep`'s pool workers: the i-th worker to start
+    (`started` counts them) runs on cpus[i % len(cpus)] alone, and SIGTERM
+    gets its default action back."""
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    with started.get_lock():
+        i = started.value
+        started.value += 1
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {cpus[i % len(cpus)]})
 
 
 def _code_q_level(seq: Sequence, masks, cfg: EncoderConfig):
@@ -195,7 +207,8 @@ def rd_sweep(seq: Sequence, masks, q_levels=DEFAULT_Q_LEVELS,
     curves, BD deltas and per-level savings as a JSON-ready dict.
 
     The q levels run as one task each in a pool of up to min(4, CPU count)
-    processes; the pool is closed before this returns or raises."""
+    processes, each pinned to a CPU of its own; the pool is closed before
+    this returns or raises."""
     q_levels = tuple(q_levels)
     if len(q_levels) != 4 or len(set(q_levels)) != 4 or not all(
             isinstance(q, int) and not isinstance(q, bool) and 1 <= q <= 63
@@ -207,14 +220,19 @@ def rd_sweep(seq: Sequence, masks, q_levels=DEFAULT_Q_LEVELS,
     tasks = [(seq, masks, replace(base_config, q_level=q)) for q in q_levels]
     # Forked, not spawned: a spawned worker re-imports numpy and scipy,
     # about 0.9 s of CPU on a 2-vCPU Xeon VM, as much as a whole 2-frame
-    # 128x96 sweep's encodes.  The workers exit on close(), not on
-    # terminate()'s SIGTERM, unless a task fails.  Then SIGTERM must end
-    # them, so each restores its default action: a Python handler inherited
-    # from the caller can run just before a worker blocks on a pool lock,
-    # and leave the worker, and the join, waiting for good.
-    with multiprocessing.get_context("fork").Pool(
-            min(len(tasks), _usable_cpus()), initializer=signal.signal,
-            initargs=(signal.SIGTERM, signal.SIG_DFL)) as pool:
+    # 128x96 sweep's encodes.  Each worker is pinned to a CPU of its own:
+    # unpinned, Linux now and then starts both workers on one CPU of that
+    # VM and leaves them sharing it for up to a second while the other CPU
+    # idles, so that a sweep took 1.0-2.0x its usual wall time.  The
+    # workers exit on close(), not on terminate()'s SIGTERM, unless a task
+    # fails.  Then SIGTERM must end them, so each restores its default
+    # action: a Python handler inherited from the caller can run just
+    # before a worker blocks on a pool lock, and leave the worker, and the
+    # join, waiting for good.
+    ctx = multiprocessing.get_context("fork")
+    cpus = _usable_cpus()
+    with ctx.Pool(min(len(tasks), len(cpus)), initializer=_start_worker,
+                  initargs=(cpus, ctx.Value("i", 0))) as pool:
         coded = pool.starmap(_code_q_level, tasks, chunksize=1)
         pool.close()
         pool.join()

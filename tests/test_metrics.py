@@ -3,6 +3,8 @@ Bjontegaard deltas, plus a small end-to-end sweep."""
 
 import json
 import multiprocessing
+import os
+import signal
 from dataclasses import replace
 
 import numpy as np
@@ -279,6 +281,27 @@ def test_rd_sweep_worker_error_propagates_and_leaves_no_child():
     with pytest.raises(ValueError, match="mask grid"):  # raised in a worker
         rd_sweep(seq, bad)
     assert multiprocessing.active_children() == []
+
+
+def _worker_state(cpus, started, out):
+    metrics._start_worker(cpus, started)
+    out.put((os.sched_getaffinity(0), signal.getsignal(signal.SIGTERM)))
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="no CPU affinity on this platform")
+def test_pool_workers_start_pinned_to_cpus_in_turn():
+    ctx = multiprocessing.get_context("fork")
+    cpus = metrics._usable_cpus()
+    started, out = ctx.Value("i", 0), ctx.SimpleQueue()
+    seen = []
+    for _ in range(len(cpus) + 1):  # one more than there are CPUs: wraps
+        p = ctx.Process(target=_worker_state, args=(cpus, started, out))
+        p.start()
+        p.join()
+        assert p.exitcode == 0
+        seen.append(out.get())
+    assert seen == [({c}, signal.SIG_DFL) for c in cpus + cpus[:1]]
 
 
 @pytest.mark.parametrize("q_levels", [
