@@ -1,8 +1,8 @@
 """Bit-level I/O with Exp-Golomb codes, used by the bitstream codec.
 
 ue(v) is v+1 written in 2*bitlen(v+1)-1 bits: bitlen(v+1)-1 zeros, then
-v+1 itself.  se(v) is ue(se_to_ue(v)).  `ue_bits` gives the length of ue()
-codes without writing anything.
+v+1 itself.  se(v) is ue(se_to_ue(v)).  `ue_lengths` and `ue_bits` give the
+lengths of ue() codes without writing anything.
 """
 
 from __future__ import annotations
@@ -32,11 +32,17 @@ def ue_to_se(value: int) -> int:
     return (value + 1) >> 1 if value & 1 else -(value >> 1)
 
 
+def ue_lengths(values) -> np.ndarray:
+    """Length in bits of the ue() code of each value of an int or an
+    integer array, each value below 2**53 - 1."""
+    # frexp's exponent of a positive integer is its bit length
+    return 2 * np.frexp(np.add(values, 1))[1] - 1
+
+
 def ue_bits(values) -> int:
     """Summed length in bits of the ue() codes of an int or an integer
     array, each value below 2**53 - 1."""
-    # frexp's exponent of a positive integer is its bit length
-    return int(2 * np.frexp(np.add(values, 1))[1].sum()) - np.size(values)
+    return int(np.sum(ue_lengths(values)))
 
 
 class BitWriter:

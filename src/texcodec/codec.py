@@ -21,7 +21,7 @@ import numpy as np
 
 from .analyzer import TextureMask, all_texture_mask
 from .bitio import (BitReader, BitstreamError, BitWriter, se_to_ue, ue_bits,
-                    ue_to_se)
+                    ue_lengths, ue_to_se)
 from .datasets import TEXTURE as TEXTURE_LABEL
 from .frames import BLOCK, BlockRect, Frame, Sequence, crop_frame, pad16, pad_frame
 from .motion import (AffineMotion, EstimationConfig, MotionError,
@@ -36,6 +36,8 @@ MIN_BLOCK = 16
 LUMA_TU = 16
 CHROMA_TU = 8
 _TU = {"y": LUMA_TU, "u": CHROMA_TU, "v": CHROMA_TU}
+# planes with one TU size, which the RD search codes as one stack
+_TU_GROUPS = (("y",), ("u", "v"))
 # Largest |level| of a quantized coefficient: a residual sample is at most
 # 255 in magnitude, so an orthonormal 16x16 DCT coefficient is at most
 # 255 * 16, and q_step >= 1.
@@ -200,16 +202,23 @@ def _split_flag_coded(ctx: _FrameCtx, rect: BlockRect) -> bool:
             and rect.y + rect.size <= ctx.ph)
 
 
-def _superblocks(ctx: _FrameCtx):
+def _superblock_rows(ctx: _FrameCtx):
+    """The superblocks in coding order, one list per row."""
     for sy in range(0, ctx.ph, SUPERBLOCK):
-        for sx in range(0, ctx.pw, SUPERBLOCK):
-            yield BlockRect(sx, sy, SUPERBLOCK)
+        yield [BlockRect(sx, sy, SUPERBLOCK)
+               for sx in range(0, ctx.pw, SUPERBLOCK)]
 
 
 def _plane_rect(plane, rect):
     if plane == "y":
         return rect.x, rect.y, rect.size
     return rect.x // 2, rect.y // 2, rect.size // 2
+
+
+def _block(planes: dict, plane: str, rect: BlockRect) -> np.ndarray:
+    """The block of `planes[plane]` that `rect` covers."""
+    x, y, s = _plane_rect(plane, rect)
+    return planes[plane][y:y + s, x:x + s]
 
 
 def _dc_predict(recon_plane, x, y, s) -> int:
@@ -243,16 +252,30 @@ def _prediction(ctx: _FrameCtx, leaf: _Leaf, rect: BlockRect,
     return ctx.warped[plane][y:y + s, x:x + s].astype(np.int64)
 
 
-def _tiles(block: np.ndarray, tu: int) -> np.ndarray:
-    """An (s, s) block as its (k, tu, tu) TUs in raster order."""
-    m = block.shape[0] // tu
-    return block.reshape(m, tu, m, tu).swapaxes(1, 2).reshape(-1, tu, tu)
+def _tiles(blocks: np.ndarray, tu: int) -> np.ndarray:
+    """(..., s, s) blocks as their (..., k, tu, tu) TUs in raster order."""
+    *lead, s, _ = blocks.shape
+    m = s // tu
+    return blocks.reshape(*lead, m, tu, m, tu).swapaxes(-3, -2).reshape(
+        *lead, m * m, tu, tu)
 
 
 def _untile(tiles: np.ndarray, s: int) -> np.ndarray:
-    """The inverse of `_tiles`: (k, tu, tu) TUs -> an (s, s) block."""
-    tu = tiles.shape[-1]
-    return tiles.reshape(s // tu, s // tu, tu, tu).swapaxes(1, 2).reshape(s, s)
+    """The inverse of `_tiles`: (..., k, tu, tu) TUs -> (..., s, s) blocks."""
+    *lead, _, tu, _ = tiles.shape
+    m = s // tu
+    return tiles.reshape(*lead, m, m, tu, tu).swapaxes(-3, -2).reshape(
+        *lead, s, s)
+
+
+def _reconstruct(pred: np.ndarray, levels: np.ndarray,
+                 q_step: int) -> np.ndarray:
+    """(..., s, s) int64 predictions plus the residual that their
+    (..., k, tu, tu) levels code, clipped to uint8: the one reconstruction
+    rule of the RD search and the decoder."""
+    res = _untile(reconstruct_residual(levels, q_step), pred.shape[-1])
+    res += pred
+    return np.clip(res, 0, 255).astype(np.uint8)
 
 
 def _reconstruct_leaf(ctx: _FrameCtx, leaf: _Leaf, rect: BlockRect) -> dict:
@@ -261,11 +284,11 @@ def _reconstruct_leaf(ctx: _FrameCtx, leaf: _Leaf, rect: BlockRect) -> dict:
     outside `rect` (the INTRA_DC neighbours)."""
     out = {}
     for plane in ("y", "u", "v"):
-        recon = _prediction(ctx, leaf, rect, plane)
-        if leaf.mode != BlockMode.TEXTURE:
-            res = reconstruct_residual(leaf.levels[plane], ctx.q_step)
-            recon += _untile(res, len(recon))
-        out[plane] = np.clip(recon, 0, 255).astype(np.uint8)
+        pred = _prediction(ctx, leaf, rect, plane)
+        if leaf.mode == BlockMode.TEXTURE:  # the warp, with no residual
+            out[plane] = pred.astype(np.uint8)
+        else:
+            out[plane] = _reconstruct(pred, leaf.levels[plane], ctx.q_step)
     return out
 
 
@@ -277,28 +300,30 @@ def _apply_leaf(ctx: _FrameCtx, leaf: _Leaf, rect: BlockRect) -> None:
 def _paste(ctx: _FrameCtx, rect: BlockRect, blocks: dict) -> None:
     """Write per-plane blocks into the working recon planes at `rect`."""
     for plane in ("y", "u", "v"):
-        x, y, s = _plane_rect(plane, rect)
-        ctx.recon[plane][y:y + s, x:x + s] = blocks[plane]
+        _block(ctx.recon, plane, rect)[:] = blocks[plane]
 
 
-def _coeff_codes(levels: np.ndarray) -> np.ndarray:
+def _coeff_codes(levels: np.ndarray):
     """The ue() values that code a plane's (k, n, n) levels: for each TU
     ue(count), then for each nonzero level in zig-zag order ue(run) and
-    ue(se_to_ue(level))."""
+    ue(se_to_ue(level)).  Returns them and the index of each TU's ue(count)
+    in them."""
     flat = scan(levels)
     tu, pos = np.nonzero(flat)
     counts = np.bincount(tu, minlength=len(flat))
     first = np.cumsum(counts) - counts  # each TU's first index into `pos`
-    run = np.diff(pos, prepend=-1) - 1
+    run = pos.copy()
+    run[1:] -= pos[:-1] + 1  # zeros since the previous nonzero level
     lead = first[counts > 0]
     run[lead] = pos[lead]  # a TU's first run counts from its start
     codes = np.empty(len(flat) + 2 * len(pos), np.int64)
     # TU t's ue(count) follows t counts and the 2 * first[t] earlier codes
-    codes[np.arange(len(flat)) + 2 * first] = counts
+    starts = np.arange(len(flat)) + 2 * first
+    codes[starts] = counts
     at = tu + 2 * np.arange(len(pos)) + 1  # where each level's ue(run) goes
     codes[at] = run
     codes[at + 1] = se_to_ue(flat[tu, pos])
-    return codes
+    return codes, starts
 
 
 def _read_coeffs(br: BitReader, k: int, n: int) -> np.ndarray:
@@ -329,7 +354,7 @@ def _leaf_codes(leaf: _Leaf) -> np.ndarray:
     leaf's MV, then the y, u and v levels."""
     if leaf.mode == BlockMode.TEXTURE:
         return np.empty(0, np.int64)
-    codes = [_coeff_codes(leaf.levels[plane]) for plane in ("y", "u", "v")]
+    codes = [_coeff_codes(leaf.levels[plane])[0] for plane in ("y", "u", "v")]
     if leaf.mode == BlockMode.INTER_MV:
         codes.insert(0, se_to_ue(np.array(leaf.mv, np.int64)))
     return np.concatenate(codes)
@@ -363,40 +388,62 @@ def _read_leaf(br: BitReader, ctx: _FrameCtx, rect: BlockRect) -> _Leaf:
 # encoder
 
 
-def _build_leaf(ctx: _FrameCtx, mode: BlockMode, rect: BlockRect,
-                search_range: int) -> _Leaf:
-    leaf = _Leaf(mode=mode)
-    if mode == BlockMode.TEXTURE:
-        return leaf
-    if mode == BlockMode.INTER_MV:
-        block = ctx.orig["y"][rect.y:rect.y + rect.size,
-                              rect.x:rect.x + rect.size]
-        dx, dy, _ = diamond_search(block, ctx.prev_recon["y"], rect.x, rect.y,
-                                   search_range)
-        leaf.mv = (dx, dy)
-    for plane in ("y", "u", "v"):
-        pred = _prediction(ctx, leaf, rect, plane)
-        x, y, s = _plane_rect(plane, rect)
-        res = ctx.orig[plane][y:y + s, x:x + s].astype(np.int64) - pred
-        leaf.levels[plane] = transform_quantize(_tiles(res, _TU[plane]),
-                                                ctx.q_step)
-    return leaf
-
-
 def _leaf_bits(leaf: _Leaf, with_flag: bool) -> int:
     """Bits `_write_leaf` writes for `leaf`, plus its split flag when
     `with_flag`, counted from the code lengths without writing them."""
     return int(with_flag) + 2 + ue_bits(_leaf_codes(leaf))
 
 
-def _block_ssd(ctx: _FrameCtx, rect: BlockRect) -> int:
-    total = 0
-    for plane in ("y", "u", "v"):
-        x, y, s = _plane_rect(plane, rect)
-        d = (ctx.orig[plane][y:y + s, x:x + s].astype(np.int64)
-             - ctx.recon[plane][y:y + s, x:x + s].astype(np.int64))
-        total += int((d * d).sum())
-    return total
+def _ssd(orig: np.ndarray, recon: np.ndarray) -> np.ndarray:
+    """The SSD of each block of two (..., s, s) stacks."""
+    d = orig.astype(np.int64) - recon
+    return (d * d).sum(axis=(-2, -1))
+
+
+def _block_bits(levels: np.ndarray) -> np.ndarray:
+    """The bits of the `_coeff_codes` of each block's (k, n, n) levels, for
+    an (N, k, n, n) stack: the per-TU sums of the ue() code array the
+    writer emits."""
+    codes, starts = _coeff_codes(levels.reshape(-1, *levels.shape[2:]))
+    return np.add.reduceat(ue_lengths(codes), starts[::levels.shape[1]])
+
+
+def _code_blocks(orig: np.ndarray, pred: np.ndarray, tu: int, q_step: int):
+    """Code an (N, s, s) stack of int64 predictions of the (N, s, s) uint8
+    `orig` blocks in (tu, tu) TUs.  Returns the (N, k, tu, tu) levels, the
+    (N, s, s) reconstruction, and per block the bits of its TU codes and its
+    SSD."""
+    levels = transform_quantize(_tiles(orig - pred, tu), q_step)
+    recon = _reconstruct(pred, levels, q_step)
+    return levels, recon, _block_bits(levels), _ssd(orig, recon)
+
+
+def _code_leaves(ctx: _FrameCtx, leaves: list, rects: list):
+    """Code same-size leaves, whose modes and MVs are set, as one stack per
+    TU size: fills in each leaf's levels and reconstruction, and returns
+    the lists of their bits after the split flag and of their SSDs."""
+    n = len(leaves)
+    bits = np.array([2 + (ue_bits(se_to_ue(np.array(leaf.mv, np.int64)))
+                          if leaf.mode == BlockMode.INTER_MV else 0)
+                     for leaf in leaves])
+    dist = np.zeros(n, np.int64)
+    for leaf in leaves:
+        leaf.recon = {}
+    for group in _TU_GROUPS:
+        pred = np.array([_prediction(ctx, leaf, rect, plane) for plane in group
+                         for leaf, rect in zip(leaves, rects)])
+        orig = np.array([_block(ctx.orig, plane, rect) for plane in group
+                         for rect in rects])
+        levels, recon, b, d = _code_blocks(orig, pred, _TU[group[0]],
+                                           ctx.q_step)
+        for i, plane in enumerate(group):
+            for leaf, leaf_levels, leaf_recon in zip(
+                    leaves, levels[i * n:], recon[i * n:]):
+                leaf.levels[plane] = leaf_levels
+                leaf.recon[plane] = leaf_recon
+        bits += b.reshape(len(group), n).sum(axis=0)
+        dist += d.reshape(len(group), n).sum(axis=0)
+    return bits.tolist(), dist.tolist()
 
 
 def _write_tree(bw: BitWriter, ctx: _FrameCtx, tree, rect: BlockRect,
@@ -414,52 +461,132 @@ def _write_tree(bw: BitWriter, ctx: _FrameCtx, tree, rect: BlockRect,
     trace.append((rect, tree.mode))
 
 
-# candidate order implements the tie-break preference:
-# TEXTURE > GLOBAL_WARP > INTER_MV > INTRA_DC > SPLIT (strict < to replace)
-def _leaf_candidates(ctx: _FrameCtx):
-    if ctx.frame_type == KEY_FRAME:
-        return (BlockMode.INTRA_DC,)
-    return (BlockMode.GLOBAL_WARP, BlockMode.INTER_MV, BlockMode.INTRA_DC)
+def _searched_nodes(ctx: _FrameCtx, rect: BlockRect, cfg: EncoderConfig,
+                    cur_mask, ref_mask):
+    """The nodes under `rect` that the RD search evaluates, in search order:
+    the nodes wholly inside the frame with no texture-forced ancestor or
+    self.  Calls `is_texture_block` once per full node it reaches."""
+    if rect.size == MIN_BLOCK or _split_flag_coded(ctx, rect):
+        if (cfg.texture_mode and ctx.frame_type == INTER_FRAME
+                and cur_mask is not None
+                and is_texture_block(rect, cur_mask, ref_mask, ctx.motion,
+                                     ctx.pw, ctx.ph)):
+            return
+        yield rect
+        if rect.size == MIN_BLOCK:
+            return
+    for child in _children(ctx, rect):
+        yield from _searched_nodes(ctx, child, cfg, cur_mask, ref_mask)
 
 
-def _try_leaf(ctx: _FrameCtx, leaf: _Leaf, rect: BlockRect, with_flag: bool):
-    """(bits, distortion) of a candidate leaf.  Keeps its reconstruction in
-    `leaf.recon` and leaves it in the working recon planes."""
-    leaf.recon = _reconstruct_leaf(ctx, leaf, rect)
-    _paste(ctx, rect, leaf.recon)
-    return _leaf_bits(leaf, with_flag), _block_ssd(ctx, rect)
+class _RowTables:
+    """What the RD search of one row of superblocks takes from tables: the
+    nodes it evaluates, and their GLOBAL_WARP and INTER_MV leaves.  Those
+    read neither the working planes nor each other, so they are coded up
+    front in a few stacked calls per TU size.
 
+    TUs are 16x16 luma and 8x8 chroma, and MIN_BLOCK is 16, so a GLOBAL_WARP
+    leaf is its TU cells, whatever the node size: one table codes each cell
+    that a searched node covers, and a node's leaf is a slice of it.
+    INTER_MV is coded per node, one stack per node size."""
 
-def _search_node(ctx: _FrameCtx, rect: BlockRect, cfg: EncoderConfig,
+    def __init__(self, ctx: _FrameCtx, row: list, cfg: EncoderConfig,
                  cur_mask, ref_mask):
+        nodes = [node for sb in row
+                 for node in _searched_nodes(ctx, sb, cfg, cur_mask, ref_mask)]
+        self.searched = set(nodes)
+        self.inter_mv = {}  # rect -> (leaf, bits after the split flag, SSD)
+        if ctx.frame_type == KEY_FRAME or not nodes:
+            return
+        self._code_warp_cells(ctx, row[0].y, nodes)
+        for size in sorted({rect.size for rect in nodes}):
+            rects = [rect for rect in nodes if rect.size == size]
+            leaves = []
+            for rect in rects:
+                dx, dy, _ = diamond_search(_block(ctx.orig, "y", rect),
+                                           ctx.prev_recon["y"], rect.x,
+                                           rect.y, cfg.search_range)
+                leaves.append(_Leaf(mode=BlockMode.INTER_MV, mv=(dx, dy)))
+            self.inter_mv.update(
+                zip(rects, zip(leaves, *_code_leaves(ctx, leaves, rects))))
+
+    def _code_warp_cells(self, ctx: _FrameCtx, y0: int, nodes: list) -> None:
+        rows = min(SUPERBLOCK, ctx.ph - y0) // LUMA_TU
+        covered = np.zeros((rows, ctx.pw // LUMA_TU), bool)
+        for rect in nodes:
+            r, c, m = ((rect.y - y0) // LUMA_TU, rect.x // LUMA_TU,
+                       rect.size // LUMA_TU)
+            covered[r:r + m, c:c + m] = True
+        self.y0 = y0
+        self.cell = np.full(covered.shape, -1)  # table index of each cell
+        n = np.count_nonzero(covered)
+        self.cell[covered] = np.arange(n)
+        self.levels, self.recon = {}, {}  # plane -> (cells, tu, tu)
+        self.bits = self.ssd = 0  # per cell, summed over the planes
+        for group in _TU_GROUPS:
+            tu = _TU[group[0]]
+            y = y0 * tu // LUMA_TU
+
+            def cells(planes):
+                return np.concatenate([
+                    planes[p][y:y + rows * tu].reshape(rows, tu, -1, tu)
+                    .swapaxes(1, 2)[covered] for p in group])
+
+            levels, recon, bits, ssd = _code_blocks(
+                cells(ctx.orig), cells(ctx.warped).astype(np.int64), tu,
+                ctx.q_step)
+            for i, plane in enumerate(group):
+                self.levels[plane] = levels[i * n:(i + 1) * n, 0]
+                self.recon[plane] = recon[i * n:(i + 1) * n]
+            self.bits = self.bits + bits.reshape(len(group), n).sum(axis=0)
+            self.ssd = self.ssd + ssd.reshape(len(group), n).sum(axis=0)
+
+    def inter_candidates(self, rect: BlockRect):
+        """GLOBAL_WARP's and INTER_MV's (leaf, bits after the split flag,
+        SSD) at a searched node; none in a KEY frame."""
+        if rect not in self.inter_mv:
+            return ()
+        r, c, m = ((rect.y - self.y0) // LUMA_TU, rect.x // LUMA_TU,
+                   rect.size // LUMA_TU)
+        i = self.cell[r:r + m, c:c + m].ravel()  # the node's TUs, raster order
+        warp = _Leaf(mode=BlockMode.GLOBAL_WARP,
+                     levels={p: a[i] for p, a in self.levels.items()},
+                     recon={p: _untile(a[i], _plane_rect(p, rect)[2])
+                            for p, a in self.recon.items()})
+        return ((warp, 2 + int(self.bits[i].sum()), int(self.ssd[i].sum())),
+                self.inter_mv[rect])
+
+
+def _search_node(ctx: _FrameCtx, rect: BlockRect, tables: _RowTables):
     """RD-search one quadtree node; returns (tree, bits, dist) and leaves the
     chosen tree's reconstruction in the working recon planes.  The search
     reads those planes only above and left of `rect` (the INTRA_DC
     neighbours, already decided), so what `rect` held before is never read."""
     flag = _split_flag_coded(ctx, rect)
     if rect.size > MIN_BLOCK and not flag:  # a partial node: always split
-        return _search_split(ctx, rect, cfg, cur_mask, ref_mask)
+        return _search_split(ctx, rect, tables)
 
-    texture_forced = (
-        cfg.texture_mode
-        and ctx.frame_type == INTER_FRAME
-        and cur_mask is not None
-        and is_texture_block(rect, cur_mask, ref_mask, ctx.motion,
-                             ctx.pw, ctx.ph)
-    )
-    if texture_forced:
+    if rect not in tables.searched:  # texture-forced: no RD, no split
         leaf = _Leaf(mode=BlockMode.TEXTURE)
-        return (leaf, *_try_leaf(ctx, leaf, rect, flag))
+        blocks = _reconstruct_leaf(ctx, leaf, rect)
+        _paste(ctx, rect, blocks)
+        dist = sum(int(_ssd(_block(ctx.orig, p, rect), blocks[p]))
+                   for p in blocks)
+        return leaf, _leaf_bits(leaf, flag), dist
 
+    intra = _Leaf(mode=BlockMode.INTRA_DC)
+    (intra_bits,), (intra_dist,) = _code_leaves(ctx, [intra], [rect])
+    # candidate order implements the tie-break preference:
+    # TEXTURE > GLOBAL_WARP > INTER_MV > INTRA_DC > SPLIT (strict < to replace)
     best = None
-    for mode in _leaf_candidates(ctx):
-        leaf = _build_leaf(ctx, mode, rect, cfg.search_range)
-        bits, dist = _try_leaf(ctx, leaf, rect, flag)
+    for leaf, bits, dist in (*tables.inter_candidates(rect),
+                             (intra, intra_bits, intra_dist)):
+        bits += flag
         cost = dist + ctx.rd_lambda * bits
         if best is None or cost < best[0]:
             best = (cost, leaf, bits, dist)
     if flag:
-        tree, sbits, sdist = _search_split(ctx, rect, cfg, cur_mask, ref_mask)
+        tree, sbits, sdist = _search_split(ctx, rect, tables)
         sbits += 1  # the split flag
         if sdist + ctx.rd_lambda * sbits < best[0]:
             return tree, sbits, sdist
@@ -467,12 +594,12 @@ def _search_node(ctx: _FrameCtx, rect: BlockRect, cfg: EncoderConfig,
     return best[1], best[2], best[3]
 
 
-def _search_split(ctx, rect, cfg, cur_mask, ref_mask):
+def _search_split(ctx, rect, tables):
     """Search the in-frame children in z-order; each leaves its chosen
     reconstruction in place as context for the next sibling."""
     children, bits, dist = [], 0, 0
     for child in _children(ctx, rect):
-        tree, b, d = _search_node(ctx, child, cfg, cur_mask, ref_mask)
+        tree, b, d = _search_node(ctx, child, tables)
         children.append(tree)
         bits += b
         dist += d
@@ -530,9 +657,12 @@ def _encode_frame(i: int, frame: Frame, cur_mask, config: EncoderConfig,
 
     bw = BitWriter()
     trace = []
-    for rect in _superblocks(ctx):
-        tree, _, _ = _search_node(ctx, rect, config, cur_mask, ref_mask)
-        _write_tree(bw, ctx, tree, rect, trace)
+    for row in _superblock_rows(ctx):
+        tables = _RowTables(ctx, row, config, cur_mask, ref_mask)
+        for rect in row:
+            tree, _, _ = _search_node(ctx, rect, tables)
+            _write_tree(bw, ctx, tree, rect, trace)
+        del tables  # before the next row's are built
     payload = bw.to_bytes()
     data = header + struct.pack("<I", len(payload)) + payload
 
@@ -682,8 +812,9 @@ def decode_sequence(data: bytes) -> DecodeResult:
                         prev_recon=prev_recon, motion=m)
         br = BitReader(data[pos:pos + plen])
         pos += plen
-        for rect in _superblocks(ctx):
-            _decode_node(ctx, rect, br)
+        for row in _superblock_rows(ctx):
+            for rect in row:
+                _decode_node(ctx, rect, br)
         recon = ctx.recon_frame(i, width, height)
         recons.append(recon)
         frames.append(crop_frame(recon, width, height))

@@ -166,7 +166,11 @@ _PLANE_LEVELS = (st.integers(0, 2 ** 32 - 1), st.sampled_from((1, 4, 16)),
 @given(*_PLANE_LEVELS)
 def test_coeff_codes_match_reference(seed, k, n, kind):
     levels = _levels(np.random.default_rng(seed), k, n, kind)
-    assert _coeff_codes(levels).tolist() == _ref_coeff_codes(levels)
+    codes, starts = _coeff_codes(levels)
+    assert codes.tolist() == _ref_coeff_codes(levels)
+    # each TU's codes begin with its ue(count), after 2 codes per level
+    counts = [int(np.count_nonzero(tu)) for tu in levels]
+    assert starts.tolist() == [t + 2 * sum(counts[:t]) for t in range(k)]
 
 
 @SETTINGS
@@ -174,7 +178,7 @@ def test_coeff_codes_match_reference(seed, k, n, kind):
 def test_coeffs_roundtrip(seed, k, n, kind):
     levels = _levels(np.random.default_rng(seed), k, n, kind)
     bw = BitWriter()
-    bw.write_ues(_coeff_codes(levels))
+    bw.write_ues(_coeff_codes(levels)[0])
     br = BitReader(bw.to_bytes())
     assert np.array_equal(_read_coeffs(br, k, n), levels)
     assert br._pos == bw.bits_written

@@ -12,18 +12,19 @@ from crafted_streams import huge_level_tu, single_tu_stream
 from texture_oracle import is_texture_block_oracle
 from texcodec.analyzer import TextureMask, all_texture_mask
 from texcodec.bitio import BitReader, BitstreamError, BitWriter, se_to_ue
-from texcodec.codec import (INTER_FRAME, KEY_FRAME, MAGIC, MAX_LEVEL,
+from texcodec.codec import (_TU, INTER_FRAME, KEY_FRAME, MAGIC, MAX_LEVEL,
                             MIN_BLOCK, SUPERBLOCK, VERSION, BlockMode,
                             EncoderConfig, _FrameCtx, _Leaf, _apply_leaf,
-                            _block_ssd, _build_leaf, _encode,
-                            _estimate_frame_motion, _leaf_bits,
-                            _leaf_candidates, _plane_rect, _read_coeffs,
-                            _search_node, decode_sequence, encode_sequence,
-                            is_texture_block)
+                            _encode, _estimate_frame_motion, _leaf_bits,
+                            _plane_rect, _prediction, _read_coeffs,
+                            _reconstruct_leaf, _RowTables, _search_node,
+                            _superblock_rows, _tiles, decode_sequence,
+                            encode_sequence, is_texture_block)
 from texcodec.datasets import NON_TEXTURE, TEXTURE
-from texcodec.frames import BLOCK, BlockRect, Frame, Sequence, pad16
-from texcodec.motion import AffineMotion, MotionModelKind
+from texcodec.frames import BLOCK, BlockRect, Frame, Sequence, pad16, pad_frame
+from texcodec.motion import AffineMotion, MotionModelKind, diamond_search
 from texcodec.sequences import _noise_texture, panning_texture_sequence, random_sequence
+from texcodec.transform import transform_quantize
 
 
 def _mask(labels):
@@ -399,15 +400,39 @@ def _restore(ctx, rect, snap):
         ctx.recon[plane][y:y + s, x:x + s] = snap[plane]
 
 
+def _reference_leaf(ctx, mode, rect, search_range):
+    """A GLOBAL_WARP, INTER_MV or INTRA_DC leaf built at one node alone:
+    its MV, levels and reconstruction (the working planes are left as they
+    are), its bits without the split flag, and its SSD."""
+    leaf = _Leaf(mode=mode)
+    if mode == BlockMode.INTER_MV:
+        block = ctx.orig["y"][rect.y:rect.y + rect.size,
+                              rect.x:rect.x + rect.size]
+        dx, dy, _ = diamond_search(block, ctx.prev_recon["y"], rect.x, rect.y,
+                                   search_range)
+        leaf.mv = (dx, dy)
+    for plane in ("y", "u", "v"):
+        pred = _prediction(ctx, leaf, rect, plane)
+        x, y, s = _plane_rect(plane, rect)
+        res = ctx.orig[plane][y:y + s, x:x + s].astype(np.int64) - pred
+        leaf.levels[plane] = transform_quantize(_tiles(res, _TU[plane]),
+                                                ctx.q_step)
+    leaf.recon = _reconstruct_leaf(ctx, leaf, rect)
+    dist = 0
+    for plane in ("y", "u", "v"):
+        x, y, s = _plane_rect(plane, rect)
+        d = (ctx.orig[plane][y:y + s, x:x + s].astype(np.int64)
+             - leaf.recon[plane].astype(np.int64))
+        dist += int((d * d).sum())
+    return leaf, _leaf_bits(leaf, with_flag=False), dist
+
+
 def _greedy_leaf(ctx, cfg, rect):
-    snap = _snapshot(ctx, rect)
     best = None
-    for mode in _leaf_candidates(ctx):
-        leaf = _build_leaf(ctx, mode, rect, cfg.search_range)
-        bits = _leaf_bits(leaf, with_flag=rect.size > MIN_BLOCK)
-        _apply_leaf(ctx, leaf, rect)
-        dist = _block_ssd(ctx, rect)
-        _restore(ctx, rect, snap)
+    for mode in (BlockMode.GLOBAL_WARP, BlockMode.INTER_MV,
+                 BlockMode.INTRA_DC):
+        leaf, bits, dist = _reference_leaf(ctx, mode, rect, cfg.search_range)
+        bits += rect.size > MIN_BLOCK  # the split flag
         cost = dist + ctx.rd_lambda * bits
         if best is None or cost < best[0]:
             best = (cost, leaf, bits, dist)
@@ -441,7 +466,8 @@ def test_rd_search_matches_exhaustive_oracle(seed, q):
                     rd_lambda=cfg.rd_lambda)
 
     root = BlockRect(0, 0, 64)
-    _, sbits, sdist = _search_node(ctx, root, cfg, None, None)
+    _, sbits, sdist = _search_node(ctx, root,
+                                   _RowTables(ctx, [root], cfg, None, None))
     search_cost = sdist + cfg.rd_lambda * sbits
 
     snap = _snapshot(ctx, root)
@@ -487,7 +513,8 @@ def test_search_ignores_what_its_node_held(ftype, rect):
             inside = ctx.recon[plane][y:y + s, x:x + s]
             inside[:] = 0 if fill == "zeros" else rng.integers(
                 0, 256, inside.shape, dtype=np.uint8)
-        tree, bits, dist = _search_node(ctx, rect, cfg, None, None)
+        tree, bits, dist = _search_node(
+            ctx, rect, _RowTables(ctx, [rect], cfg, None, None))
         block = _snapshot(ctx, rect)
         for plane, a in context.items():
             x, y, s = _plane_rect(plane, rect)
@@ -505,3 +532,65 @@ def test_rd_prefers_fewer_bits_at_equal_distortion():
     # with lambda > 0 the cost ordering is monotone in bits at fixed SSD
     cfg = EncoderConfig(q_level=24)
     assert 100 + cfg.rd_lambda * 10 < 100 + cfg.rd_lambda * 11
+
+
+def _reference_searched(ctx, rect, cfg, cur_mask, ref_mask):
+    """The nodes under `rect` the RD search evaluates, by their definition:
+    wholly inside the frame, with no texture-forced ancestor or self."""
+    full = rect.x + rect.size <= ctx.pw and rect.y + rect.size <= ctx.ph
+    if full and cfg.texture_mode and cur_mask is not None and \
+            is_texture_block_oracle(rect, cur_mask, ref_mask, ctx.motion,
+                                    ctx.pw, ctx.ph):
+        return []
+    out = [rect] if full else []
+    if rect.size > MIN_BLOCK:
+        half = rect.size // 2
+        for cy, cx in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            child = BlockRect(rect.x + cx * half, rect.y + cy * half, half)
+            if child.x < ctx.pw and child.y < ctx.ph:
+                out += _reference_searched(ctx, child, cfg, cur_mask, ref_mask)
+    return out
+
+
+def test_rd_tables_match_per_node_reference():
+    # every searched node's GLOBAL_WARP and INTER_MV table entry equals a
+    # build at that node alone, in mode, MV, levels, reconstruction, bits
+    # and SSD; clips with partial superblocks, texture mode off and on (only
+    # the 144x80 clip has texture-forced nodes)
+    n_nodes = n_forced = 0
+    for size, q, texture in itertools.product(
+            ((80, 48), (144, 80)), (1, 24, 63), (False, True)):
+        seq, masks = panning_texture_sequence(*size, n_frames=4, seed=3)
+        padded = [pad_frame(f) for f in seq]
+        pw, ph = padded[0].width, padded[0].height
+        cfg = EncoderConfig(q_level=q, gf_group_size=4, texture_mode=texture)
+        recons = encode_sequence(seq, masks, cfg).reconstructions
+        for i in (1, 2, 3):
+            cur_mask = masks[i] if texture else None
+            m = _estimate_frame_motion(padded[i], recons[0], cur_mask, cfg)
+            ctx = _FrameCtx(pw, ph, cfg.q_step, INTER_FRAME,
+                            key_recon=recons[0], prev_recon=recons[i - 1],
+                            motion=m, orig=padded[i], rd_lambda=cfg.rd_lambda)
+            for row in _superblock_rows(ctx):
+                tables = _RowTables(ctx, row, cfg, cur_mask, masks[0])
+                want = [n for sb in row for n in _reference_searched(
+                    ctx, sb, cfg, cur_mask, masks[0])]
+                assert tables.searched == set(want)
+                # nodes that texture mode takes out of the search
+                n_forced += len([n for sb in row for n in _reference_searched(
+                    ctx, sb, cfg, None, None)]) - len(want)
+                for rect in want:
+                    n_nodes += 1
+                    got = tables.inter_candidates(rect)
+                    for (leaf, bits, dist), mode in zip(
+                            got, (BlockMode.GLOBAL_WARP, BlockMode.INTER_MV)):
+                        ref, ref_bits, ref_dist = _reference_leaf(
+                            ctx, mode, rect, cfg.search_range)
+                        assert (leaf.mode, leaf.mv, bits, dist) == (
+                            ref.mode, ref.mv, ref_bits, ref_dist)
+                        for plane in ("y", "u", "v"):
+                            assert np.array_equal(leaf.levels[plane],
+                                                  ref.levels[plane])
+                            assert np.array_equal(leaf.recon[plane],
+                                                  ref.recon[plane])
+    assert n_nodes > 0 and n_forced > 0

@@ -1,0 +1,144 @@
+"""File-level decoder properties on the pinned encodes of test_pins.py:
+whatever a stream is cut to, however its bytes are changed and whatever its
+header fields hold, `decode_sequence` returns or raises `BitstreamError`,
+never another exception, and its tracemalloc peak stays bounded."""
+
+import functools
+import struct
+import tracemalloc
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from texcodec.bitio import BitstreamError
+from texcodec.codec import (INTER_FRAME, EncoderConfig, decode_sequence,
+                            encode_sequence)
+from texcodec.sequences import panning_texture_sequence, random_sequence
+
+FILE_HEADER = "<4sBHHHBB"
+# The header sweeps keep the sizes at most 1024x1024, whose planes take
+# 1.5 MB a frame; the decoder holds a few frames at a time.
+PEAK_BOUND = 16 << 20
+SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
+                    database=None)
+
+
+@functools.lru_cache(maxsize=None)
+def _streams():
+    seq, masks = panning_texture_sequence(96, 64, n_frames=5, seed=5)
+    return (
+        encode_sequence(seq, masks, EncoderConfig(gf_group_size=4)).bitstream,
+        encode_sequence(seq, None, EncoderConfig(texture_mode=False)).bitstream,
+        encode_sequence(random_sequence(80, 48, 3, seed=7), None,
+                        EncoderConfig(q_level=16,
+                                      texture_mode=False)).bitstream,
+    )
+
+
+def _layout(data):
+    """Per frame, the offsets of its header, of its Q16 motion (None in a
+    KEY frame) and of its payload length; and the footer's offset."""
+    pos = struct.calcsize(FILE_HEADER)
+    frames = []
+    for _ in range(struct.unpack_from(FILE_HEADER, data)[4]):
+        motion = pos + 2 if data[pos] == INTER_FRAME else None
+        plen_at = pos + 2 + (24 if motion else 0)
+        frames.append((pos, motion, plen_at))
+        pos = plen_at + 4 + struct.unpack_from("<I", data, plen_at)[0]
+    return frames, pos
+
+
+def _decode_traced(data):
+    """Decode `data`, which may fail only with a BitstreamError, within
+    PEAK_BOUND bytes of traced allocations."""
+    tracemalloc.start()
+    try:
+        try:
+            decode_sequence(data)
+        except BitstreamError:
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < PEAK_BOUND
+
+
+streams = st.integers(0, 2)
+
+
+def test_every_header_and_footer_cut_is_rejected():
+    # every cut inside the file header, a frame header, a payload length
+    # or the CRC footer; the payloads' own cuts are drawn below
+    for data in _streams():
+        frames, footer = _layout(data)
+        cuts = set(range(struct.calcsize(FILE_HEADER) + 1))
+        for start, _, plen_at in frames:
+            cuts.update(range(start, plen_at + 5))
+        cuts.update(range(footer, len(data)))
+        assert len(data) not in cuts
+        for cut in sorted(cuts):
+            with pytest.raises(BitstreamError):
+                decode_sequence(data[:cut])
+
+
+@SETTINGS
+@given(streams, st.floats(0, 1, exclude_max=True))
+def test_any_cut_is_rejected(which, where):
+    data = _streams()[which]
+    cut = int(where * len(data))
+    with pytest.raises(BitstreamError):
+        decode_sequence(data[:cut])
+    _decode_traced(data[:cut])
+
+
+@SETTINGS
+@given(streams, st.floats(0, 1, exclude_max=True), st.integers(1, 255))
+def test_byte_mutations(which, where, xor):
+    data = bytearray(_streams()[which])
+    data[int(where * len(data))] ^= xor
+    _decode_traced(bytes(data))
+
+
+@SETTINGS
+@given(streams, st.floats(0, 1, exclude_max=True), st.integers(0, 7))
+def test_bit_flips(which, where, bit):
+    data = bytearray(_streams()[which])
+    data[int(where * len(data))] ^= 1 << bit
+    _decode_traced(bytes(data))
+
+
+_FILE_FIELDS = {  # field -> (offset, struct format, values)
+    "width": (5, "<H", st.integers(0, 1024)),
+    "height": (7, "<H", st.integers(0, 1024)),
+    "frames": (9, "<H", st.integers(0, 0xFFFF)),
+    "gf": (11, "<B", st.integers(0, 0xFF)),
+    "model": (12, "<B", st.integers(0, 0xFF)),
+}
+
+
+@SETTINGS
+@given(streams, st.sampled_from(sorted(_FILE_FIELDS)), st.data())
+def test_file_header_field_sweeps(which, field, data):
+    stream = bytearray(_streams()[which])
+    offset, fmt, values = _FILE_FIELDS[field]
+    struct.pack_into(fmt, stream, offset, data.draw(values))
+    _decode_traced(bytes(stream))
+
+
+@SETTINGS
+@given(streams, st.integers(0, 4), st.sampled_from(["type", "q", "motion"]),
+       st.data())
+def test_frame_header_field_sweeps(which, frame, field, data):
+    stream = bytearray(_streams()[which])
+    frames, _ = _layout(stream)
+    start, motion, _ = frames[frame % len(frames)]
+    if field == "type":
+        stream[start] = data.draw(st.integers(0, 0xFF))
+    elif field == "q":
+        stream[start + 1] = data.draw(st.integers(0, 0xFF))
+    else:
+        motion = motion or frames[1][1]  # every pinned stream has INTER 1
+        struct.pack_into("<6i", stream, motion, *data.draw(st.lists(
+            st.integers(-2 ** 31, 2 ** 31 - 1), min_size=6, max_size=6)))
+    _decode_traced(bytes(stream))
