@@ -212,9 +212,9 @@ def build_parser() -> argparse.ArgumentParser:
                            f"weights v{FORMAT_VERSIONS['weights']})")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
-    io_common = argparse.ArgumentParser(add_help=False)
-    io_common.add_argument("--size", default=None,
-                           help="WxH for raw .yuv inputs")
+    size = argparse.ArgumentParser(add_help=False)
+    size.add_argument("--size", default=None, help="WxH for raw .yuv inputs")
+    io_common = argparse.ArgumentParser(add_help=False, parents=[size])
     io_common.add_argument("--frames", type=int, default=None,
                            help="frame count limit for raw .yuv inputs")
 
@@ -240,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stop once balanced validation accuracy reaches this")
     t.set_defaults(func=_cmd_train)
 
-    s = sub.add_parser("segment", parents=[common, io_common],
+    s = sub.add_parser("segment", parents=[io_common],
                        help="write per-frame texture masks")
     s.add_argument("--weights", required=True)
     s.add_argument("--input", required=True)
@@ -249,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--min-region", type=int, default=0)
     s.set_defaults(func=_cmd_segment)
 
-    m = sub.add_parser("motion", parents=[common, io_common],
+    m = sub.add_parser("motion", parents=[common, size],
                        help="estimate texture motion between two frames")
     m.add_argument("--cur", required=True)
     m.add_argument("--ref", required=True)
@@ -273,8 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--stats", default=None)
     e.set_defaults(func=_cmd_encode)
 
-    d = sub.add_parser("decode", parents=[common],
-                       help="decode a TXC1 bitstream to Y4M")
+    d = sub.add_parser("decode", help="decode a TXC1 bitstream to Y4M")
     d.add_argument("--in", dest="infile", required=True)
     d.add_argument("--out", required=True)
     d.set_defaults(func=_cmd_decode)
@@ -290,8 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=[k.value for k in MotionModelKind])
     r.set_defaults(func=_cmd_rd_sweep)
 
-    b = sub.add_parser("bd", parents=[common],
-                       help="BD metrics from two RD curve JSON files")
+    b = sub.add_parser("bd", help="BD metrics from two RD curve JSON files")
     b.add_argument("--baseline", required=True)
     b.add_argument("--test", required=True)
     b.set_defaults(func=_cmd_bd)

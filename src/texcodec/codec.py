@@ -35,9 +35,9 @@ SUPERBLOCK = 64
 MIN_BLOCK = 16
 LUMA_TU = 16
 CHROMA_TU = 8
-_TU = {"y": LUMA_TU, "u": CHROMA_TU, "v": CHROMA_TU}
-# planes with one TU size, which the RD search codes as one stack
-_TU_GROUPS = (("y",), ("u", "v"))
+# a frame's samples are one (c, h, w) array per TU size: "y", and "uv" with
+# u first, then v
+_TU = {"y": LUMA_TU, "uv": CHROMA_TU}
 # Largest |level| of a quantized coefficient: a residual sample is at most
 # 255 in magnitude, so an orthonormal 16x16 DCT coefficient is at most
 # 255 * 16, and q_step >= 1.
@@ -145,14 +145,14 @@ def is_texture_block(rect: BlockRect, cur_mask: TextureMask,
 class _Leaf:
     mode: BlockMode
     mv: tuple[int, int] | None = None
-    # plane -> (k, tu, tu) quantized levels of the leaf's k TUs, raster order
+    # "y"/"uv" -> (c, k, tu, tu) levels of each plane's k TUs, raster order
     levels: dict = field(default_factory=dict)
-    # plane -> reconstructed block, kept by the RD search to paste back
+    # "y"/"uv" -> (c, s, s) reconstruction, kept by the RD search to paste
     recon: dict | None = None
 
 
 def _planes(f: Frame | None):
-    return None if f is None else {"y": f.y, "u": f.u, "v": f.v}
+    return None if f is None else {"y": f.y[None], "uv": np.stack((f.u, f.v))}
 
 
 class _FrameCtx:
@@ -173,15 +173,12 @@ class _FrameCtx:
         if frame_type == INTER_FRAME:
             self.prev_recon = _planes(prev_recon)
             self.warped = _planes(warp_frame(key_recon, motion))
-        self.recon = {
-            "y": np.zeros((ph, pw), np.uint8),
-            "u": np.zeros((ph // 2, pw // 2), np.uint8),
-            "v": np.zeros((ph // 2, pw // 2), np.uint8),
-        }
+        self.recon = {"y": np.zeros((1, ph, pw), np.uint8),
+                      "uv": np.zeros((2, ph // 2, pw // 2), np.uint8)}
 
     def recon_frame(self, frame_index, orig_w, orig_h) -> Frame:
-        return Frame(y=self.recon["y"], u=self.recon["u"], v=self.recon["v"],
-                     frame_index=frame_index,
+        (y,), (u, v) = self.recon["y"], self.recon["uv"]
+        return Frame(y=y, u=u, v=v, frame_index=frame_index,
                      orig_width=orig_w, orig_height=orig_h)
 
 
@@ -216,40 +213,40 @@ def _plane_rect(plane, rect):
 
 
 def _block(planes: dict, plane: str, rect: BlockRect) -> np.ndarray:
-    """The block of `planes[plane]` that `rect` covers."""
+    """The (c, s, s) block of `planes[plane]` that `rect` covers."""
     x, y, s = _plane_rect(plane, rect)
-    return planes[plane][y:y + s, x:x + s]
+    return planes[plane][:, y:y + s, x:x + s]
 
 
-def _dc_predict(recon_plane, x, y, s) -> int:
-    total, n = 0, 0
+def _dc_predict(recon: np.ndarray, x, y, s) -> np.ndarray:
+    """Each plane's DC prediction of its (s, s) block at (x, y) in the
+    (c, h, w) `recon`: the rounded mean of the row above and the column
+    left, 128 where neither is in the frame."""
+    total, n = np.zeros(len(recon), np.int64), 0
     if y > 0:
-        row = recon_plane[y - 1, x:x + s]
-        total += int(row.sum(dtype=np.int64))
-        n += row.size
+        total += recon[:, y - 1, x:x + s].sum(axis=-1, dtype=np.int64)
+        n += s
     if x > 0:
-        col = recon_plane[y:y + s, x - 1]
-        total += int(col.sum(dtype=np.int64))
-        n += col.size
+        total += recon[:, y:y + s, x - 1].sum(axis=-1, dtype=np.int64)
+        n += s
     if n == 0:
-        return 128
+        return total + 128
     return (total + n // 2) // n
 
 
 def _prediction(ctx: _FrameCtx, leaf: _Leaf, rect: BlockRect,
                 plane: str) -> np.ndarray:
-    x, y, s = _plane_rect(plane, rect)
+    """The leaf's (c, s, s) int64 prediction of the `plane` array."""
     if leaf.mode == BlockMode.INTRA_DC:
+        x, y, s = _plane_rect(plane, rect)
         dc = _dc_predict(ctx.recon[plane], x, y, s)
-        return np.full((s, s), dc, np.int64)
+        return np.repeat(dc, s * s).reshape(-1, s, s)
     if leaf.mode == BlockMode.INTER_MV:
-        dx, dy = leaf.mv
-        if plane != "y":
-            dx, dy = dx // 2, dy // 2
-        src = ctx.prev_recon[plane]
-        return src[y + dy:y + dy + s, x + dx:x + dx + s].astype(np.int64)
+        dx, dy = leaf.mv  # x and y are even: chroma moves (dx // 2, dy // 2)
+        moved = BlockRect(rect.x + dx, rect.y + dy, rect.size)
+        return _block(ctx.prev_recon, plane, moved).astype(np.int64)
     # GLOBAL_WARP and TEXTURE share the warped texture reference
-    return ctx.warped[plane][y:y + s, x:x + s].astype(np.int64)
+    return _block(ctx.warped, plane, rect).astype(np.int64)
 
 
 def _tiles(blocks: np.ndarray, tu: int) -> np.ndarray:
@@ -279,11 +276,11 @@ def _reconstruct(pred: np.ndarray, levels: np.ndarray,
 
 
 def _reconstruct_leaf(ctx: _FrameCtx, leaf: _Leaf, rect: BlockRect) -> dict:
-    """A leaf's reconstructed block per plane, from its coded levels;
-    identical on encoder and decoder.  Reads the working recon planes only
-    outside `rect` (the INTRA_DC neighbours)."""
+    """A leaf's (c, s, s) reconstructed block per array, from its coded
+    levels; identical on encoder and decoder.  Reads the working recon
+    planes only outside `rect` (the INTRA_DC neighbours)."""
     out = {}
-    for plane in ("y", "u", "v"):
+    for plane in _TU:
         pred = _prediction(ctx, leaf, rect, plane)
         if leaf.mode == BlockMode.TEXTURE:  # the warp, with no residual
             out[plane] = pred.astype(np.uint8)
@@ -298,17 +295,17 @@ def _apply_leaf(ctx: _FrameCtx, leaf: _Leaf, rect: BlockRect) -> None:
 
 
 def _paste(ctx: _FrameCtx, rect: BlockRect, blocks: dict) -> None:
-    """Write per-plane blocks into the working recon planes at `rect`."""
-    for plane in ("y", "u", "v"):
+    """Write per-array blocks into the working recon planes at `rect`."""
+    for plane in _TU:
         _block(ctx.recon, plane, rect)[:] = blocks[plane]
 
 
 def _coeff_codes(levels: np.ndarray):
-    """The ue() values that code a plane's (k, n, n) levels: for each TU
-    ue(count), then for each nonzero level in zig-zag order ue(run) and
-    ue(se_to_ue(level)).  Returns them and the index of each TU's ue(count)
-    in them."""
-    flat = scan(levels)
+    """The ue() values that code (..., n, n) levels, TU after TU in their
+    flat order: for each TU ue(count), then for each nonzero level in
+    zig-zag order ue(run) and ue(se_to_ue(level)).  Returns them and the
+    index of each TU's ue(count) in them."""
+    flat = scan(levels).reshape(-1, levels.shape[-1] ** 2)
     tu, pos = np.nonzero(flat)
     counts = np.bincount(tu, minlength=len(flat))
     first = np.cumsum(counts) - counts  # each TU's first index into `pos`
@@ -354,7 +351,7 @@ def _leaf_codes(leaf: _Leaf) -> np.ndarray:
     leaf's MV, then the y, u and v levels."""
     if leaf.mode == BlockMode.TEXTURE:
         return np.empty(0, np.int64)
-    codes = [_coeff_codes(leaf.levels[plane])[0] for plane in ("y", "u", "v")]
+    codes = [_coeff_codes(leaf.levels[plane])[0] for plane in _TU]
     if leaf.mode == BlockMode.INTER_MV:
         codes.insert(0, se_to_ue(np.array(leaf.mv, np.int64)))
     return np.concatenate(codes)
@@ -379,8 +376,9 @@ def _read_leaf(br: BitReader, ctx: _FrameCtx, rect: BlockRect) -> _Leaf:
         if not (0 <= x + dx <= ctx.pw - s and 0 <= y + dy <= ctx.ph - s):
             raise BitstreamError("motion vector out of frame")
     k = (rect.size // LUMA_TU) ** 2  # TUs per plane
-    for plane in ("y", "u", "v"):
-        leaf.levels[plane] = _read_coeffs(br, k, _TU[plane])
+    for plane, tu in _TU.items():
+        c = len(ctx.recon[plane])
+        leaf.levels[plane] = _read_coeffs(br, c * k, tu).reshape(c, k, tu, tu)
     return leaf
 
 
@@ -395,24 +393,25 @@ def _leaf_bits(leaf: _Leaf, with_flag: bool) -> int:
 
 
 def _ssd(orig: np.ndarray, recon: np.ndarray) -> np.ndarray:
-    """The SSD of each block of two (..., s, s) stacks."""
+    """The SSD of each (c, s, s) block of two (..., c, s, s) stacks."""
     d = orig.astype(np.int64) - recon
-    return (d * d).sum(axis=(-2, -1))
+    return (d * d).sum(axis=(-3, -2, -1))
 
 
 def _block_bits(levels: np.ndarray) -> np.ndarray:
-    """The bits of the `_coeff_codes` of each block's (k, n, n) levels, for
-    an (N, k, n, n) stack: the per-TU sums of the ue() code array the
-    writer emits."""
-    codes, starts = _coeff_codes(levels.reshape(-1, *levels.shape[2:]))
-    return np.add.reduceat(ue_lengths(codes), starts[::levels.shape[1]])
+    """The bits of the `_coeff_codes` of each block's (c, k, n, n) levels,
+    for an (N, c, k, n, n) stack: the per-TU sums of the ue() code array
+    the writer emits."""
+    codes, starts = _coeff_codes(levels)
+    return np.add.reduceat(ue_lengths(codes),
+                           starts.reshape(len(levels), -1)[:, 0])
 
 
 def _code_blocks(orig: np.ndarray, pred: np.ndarray, tu: int, q_step: int):
-    """Code an (N, s, s) stack of int64 predictions of the (N, s, s) uint8
-    `orig` blocks in (tu, tu) TUs.  Returns the (N, k, tu, tu) levels, the
-    (N, s, s) reconstruction, and per block the bits of its TU codes and its
-    SSD."""
+    """Code an (N, c, s, s) stack of int64 predictions of the (N, c, s, s)
+    uint8 `orig` blocks in (tu, tu) TUs.  Returns the (N, c, k, tu, tu)
+    levels, the (N, c, s, s) reconstruction, and per block the bits of its
+    TU codes and its SSD."""
     levels = transform_quantize(_tiles(orig - pred, tu), q_step)
     recon = _reconstruct(pred, levels, q_step)
     return levels, recon, _block_bits(levels), _ssd(orig, recon)
@@ -422,27 +421,22 @@ def _code_leaves(ctx: _FrameCtx, leaves: list, rects: list):
     """Code same-size leaves, whose modes and MVs are set, as one stack per
     TU size: fills in each leaf's levels and reconstruction, and returns
     the lists of their bits after the split flag and of their SSDs."""
-    n = len(leaves)
     bits = np.array([2 + (ue_bits(se_to_ue(np.array(leaf.mv, np.int64)))
                           if leaf.mode == BlockMode.INTER_MV else 0)
                      for leaf in leaves])
-    dist = np.zeros(n, np.int64)
+    dist = np.zeros(len(leaves), np.int64)
     for leaf in leaves:
         leaf.recon = {}
-    for group in _TU_GROUPS:
-        pred = np.array([_prediction(ctx, leaf, rect, plane) for plane in group
+    for plane, tu in _TU.items():
+        pred = np.array([_prediction(ctx, leaf, rect, plane)
                          for leaf, rect in zip(leaves, rects)])
-        orig = np.array([_block(ctx.orig, plane, rect) for plane in group
-                         for rect in rects])
-        levels, recon, b, d = _code_blocks(orig, pred, _TU[group[0]],
-                                           ctx.q_step)
-        for i, plane in enumerate(group):
-            for leaf, leaf_levels, leaf_recon in zip(
-                    leaves, levels[i * n:], recon[i * n:]):
-                leaf.levels[plane] = leaf_levels
-                leaf.recon[plane] = leaf_recon
-        bits += b.reshape(len(group), n).sum(axis=0)
-        dist += d.reshape(len(group), n).sum(axis=0)
+        orig = np.array([_block(ctx.orig, plane, rect) for rect in rects])
+        levels, recon, b, d = _code_blocks(orig, pred, tu, ctx.q_step)
+        for leaf, leaf_levels, leaf_recon in zip(leaves, levels, recon):
+            leaf.levels[plane] = leaf_levels
+            leaf.recon[plane] = leaf_recon
+        bits += b
+        dist += d
     return bits.tolist(), dist.tolist()
 
 
@@ -483,78 +477,28 @@ class _RowTables:
     """What the RD search of one row of superblocks takes from tables: the
     nodes it evaluates, and their GLOBAL_WARP and INTER_MV leaves.  Those
     read neither the working planes nor each other, so they are coded up
-    front in a few stacked calls per TU size.
-
-    TUs are 16x16 luma and 8x8 chroma, and MIN_BLOCK is 16, so a GLOBAL_WARP
-    leaf is its TU cells, whatever the node size: one table codes each cell
-    that a searched node covers, and a node's leaf is a slice of it.
-    INTER_MV is coded per node, one stack per node size."""
+    front: per node size, that size's diamond searches, then one
+    `_code_leaves` stack per mode."""
 
     def __init__(self, ctx: _FrameCtx, row: list, cfg: EncoderConfig,
                  cur_mask, ref_mask):
         nodes = [node for sb in row
                  for node in _searched_nodes(ctx, sb, cfg, cur_mask, ref_mask)]
         self.searched = set(nodes)
-        self.inter_mv = {}  # rect -> (leaf, bits after the split flag, SSD)
-        if ctx.frame_type == KEY_FRAME or not nodes:
+        # rect -> GLOBAL_WARP's and INTER_MV's (leaf, bits after the split
+        # flag, SSD); empty in a KEY frame
+        self.inter = {}
+        if ctx.frame_type == KEY_FRAME:
             return
-        self._code_warp_cells(ctx, row[0].y, nodes)
         for size in sorted({rect.size for rect in nodes}):
             rects = [rect for rect in nodes if rect.size == size]
-            leaves = []
-            for rect in rects:
-                dx, dy, _ = diamond_search(_block(ctx.orig, "y", rect),
-                                           ctx.prev_recon["y"], rect.x,
-                                           rect.y, cfg.search_range)
-                leaves.append(_Leaf(mode=BlockMode.INTER_MV, mv=(dx, dy)))
-            self.inter_mv.update(
-                zip(rects, zip(leaves, *_code_leaves(ctx, leaves, rects))))
-
-    def _code_warp_cells(self, ctx: _FrameCtx, y0: int, nodes: list) -> None:
-        rows = min(SUPERBLOCK, ctx.ph - y0) // LUMA_TU
-        covered = np.zeros((rows, ctx.pw // LUMA_TU), bool)
-        for rect in nodes:
-            r, c, m = ((rect.y - y0) // LUMA_TU, rect.x // LUMA_TU,
-                       rect.size // LUMA_TU)
-            covered[r:r + m, c:c + m] = True
-        self.y0 = y0
-        self.cell = np.full(covered.shape, -1)  # table index of each cell
-        n = np.count_nonzero(covered)
-        self.cell[covered] = np.arange(n)
-        self.levels, self.recon = {}, {}  # plane -> (cells, tu, tu)
-        self.bits = self.ssd = 0  # per cell, summed over the planes
-        for group in _TU_GROUPS:
-            tu = _TU[group[0]]
-            y = y0 * tu // LUMA_TU
-
-            def cells(planes):
-                return np.concatenate([
-                    planes[p][y:y + rows * tu].reshape(rows, tu, -1, tu)
-                    .swapaxes(1, 2)[covered] for p in group])
-
-            levels, recon, bits, ssd = _code_blocks(
-                cells(ctx.orig), cells(ctx.warped).astype(np.int64), tu,
-                ctx.q_step)
-            for i, plane in enumerate(group):
-                self.levels[plane] = levels[i * n:(i + 1) * n, 0]
-                self.recon[plane] = recon[i * n:(i + 1) * n]
-            self.bits = self.bits + bits.reshape(len(group), n).sum(axis=0)
-            self.ssd = self.ssd + ssd.reshape(len(group), n).sum(axis=0)
-
-    def inter_candidates(self, rect: BlockRect):
-        """GLOBAL_WARP's and INTER_MV's (leaf, bits after the split flag,
-        SSD) at a searched node; none in a KEY frame."""
-        if rect not in self.inter_mv:
-            return ()
-        r, c, m = ((rect.y - self.y0) // LUMA_TU, rect.x // LUMA_TU,
-                   rect.size // LUMA_TU)
-        i = self.cell[r:r + m, c:c + m].ravel()  # the node's TUs, raster order
-        warp = _Leaf(mode=BlockMode.GLOBAL_WARP,
-                     levels={p: a[i] for p, a in self.levels.items()},
-                     recon={p: _untile(a[i], _plane_rect(p, rect)[2])
-                            for p, a in self.recon.items()})
-        return ((warp, 2 + int(self.bits[i].sum()), int(self.ssd[i].sum())),
-                self.inter_mv[rect])
+            warps = [_Leaf(mode=BlockMode.GLOBAL_WARP) for _ in rects]
+            mvs = [_Leaf(mode=BlockMode.INTER_MV, mv=diamond_search(
+                _block(ctx.orig, "y", rect)[0], ctx.prev_recon["y"][0],
+                rect.x, rect.y, cfg.search_range)[:2]) for rect in rects]
+            self.inter.update(zip(rects, zip(
+                zip(warps, *_code_leaves(ctx, warps, rects)),
+                zip(mvs, *_code_leaves(ctx, mvs, rects)))))
 
 
 def _search_node(ctx: _FrameCtx, rect: BlockRect, tables: _RowTables):
@@ -579,7 +523,7 @@ def _search_node(ctx: _FrameCtx, rect: BlockRect, tables: _RowTables):
     # candidate order implements the tie-break preference:
     # TEXTURE > GLOBAL_WARP > INTER_MV > INTRA_DC > SPLIT (strict < to replace)
     best = None
-    for leaf, bits, dist in (*tables.inter_candidates(rect),
+    for leaf, bits, dist in (*tables.inter.get(rect, ()),
                              (intra, intra_bits, intra_dist)):
         bits += flag
         cost = dist + ctx.rd_lambda * bits
@@ -606,10 +550,21 @@ def _search_split(ctx, rect, tables):
     return children, bits, dist
 
 
+def _q16(m: AffineMotion) -> tuple:
+    """The six Q16.16 ints of a frame header that code `m`, rounded."""
+    return tuple(int(round(v * 65536.0)) for v in m.as_tuple())
+
+
+def _q16_motion(raw) -> AffineMotion:
+    """The motion that six Q16.16 header ints code."""
+    return AffineMotion(*(v / 65536.0 for v in raw))
+
+
 def _estimate_frame_motion(cur: Frame, key_recon: Frame, cur_mask, cfg):
-    """Texture motion against the group's KEY reconstruction.  Without a
-    usable texture region (or in baseline mode) the model is fitted on the
-    whole frame so GLOBAL_WARP stays available."""
+    """The Q16.16 header ints of the texture motion against the group's KEY
+    reconstruction.  Without a usable texture region (or in baseline mode)
+    the model is fitted on the whole frame so GLOBAL_WARP stays
+    available."""
     gh, gw = cur.height // BLOCK, cur.width // BLOCK
     est_cfg = EstimationConfig(search_range=cfg.search_range,
                                rng_seed=cfg.motion_seed)
@@ -622,10 +577,10 @@ def _estimate_frame_motion(cur: Frame, key_recon: Frame, cur_mask, cfg):
         try:
             m, _ = estimate_texture_motion(cur, key_recon, mask,
                                            cfg.model_kind, est_cfg)
-            return m.quantized_q16()
+            return _q16(m)
         except MotionError:
             continue
-    return AffineMotion.identity()
+    return _q16(AffineMotion.identity())
 
 
 class _CodedFrame(NamedTuple):
@@ -647,9 +602,9 @@ def _encode_frame(i: int, frame: Frame, cur_mask, config: EncoderConfig,
     header = struct.pack("<BB", ftype, config.q_level)
     m = ref_mask = None
     if not is_key:
-        m = _estimate_frame_motion(frame, key_recon, cur_mask, config)
-        header += struct.pack("<6i", *(int(round(v * 65536.0))
-                                       for v in m.as_tuple()))
+        q16 = _estimate_frame_motion(frame, key_recon, cur_mask, config)
+        header += struct.pack("<6i", *q16)
+        m = _q16_motion(q16)
         ref_mask = key_mask
     ctx = _FrameCtx(pw, ph, config.q_step, ftype, key_recon=key_recon,
                     prev_recon=prev_recon, motion=m, orig=frame,
@@ -764,6 +719,8 @@ def _decode_node(ctx: _FrameCtx, rect: BlockRect, br: BitReader):
 
 
 def decode_sequence(data: bytes) -> DecodeResult:
+    """Decode a TXC1 file.  Every frame record and the CRC footer are
+    checked to lie within `data` before any frame is decoded."""
     hdr_size = struct.calcsize("<4sBHHHBB")
     if len(data) < hdr_size:
         raise BitstreamError("truncated file header")
@@ -779,8 +736,7 @@ def decode_sequence(data: bytes) -> DecodeResult:
     # every superblock codes at least one 2-bit leaf mode
     min_payload_bits = 2 * -(-pw // SUPERBLOCK) * -(-ph // SUPERBLOCK)
     pos = hdr_size
-    prev_recon = key_recon = None
-    recons, frames = [], []
+    records = []  # per frame: type, q_level, motion, payload start and end
     for i in range(n_frames):
         if pos + 2 > len(data):
             raise BitstreamError(f"truncated header of frame {i}")
@@ -792,13 +748,12 @@ def decode_sequence(data: bytes) -> DecodeResult:
             raise BitstreamError("bad q_level")
         m = None
         if ftype == INTER_FRAME:
-            if key_recon is None:
+            if i == 0:  # frame 0 must be the first group's KEY frame
                 raise BitstreamError("INTER frame without a key frame")
             if pos + 24 > len(data):
                 raise BitstreamError(f"truncated motion header of frame {i}")
-            raw = struct.unpack_from("<6i", data, pos)
+            m = _q16_motion(struct.unpack_from("<6i", data, pos))
             pos += 24
-            m = AffineMotion(*(v / 65536.0 for v in raw))
         if pos + 4 > len(data):
             raise BitstreamError(f"truncated payload length of frame {i}")
         (plen,) = struct.unpack_from("<I", data, pos)
@@ -808,24 +763,28 @@ def decode_sequence(data: bytes) -> DecodeResult:
         if 8 * plen < min_payload_bits:
             raise BitstreamError(f"payload of frame {i} too short for "
                                  f"{width}x{height}")
+        records.append((ftype, q_level, m, pos, pos + plen))
+        pos += plen
+    if pos + 4 * n_frames > len(data):
+        raise BitstreamError("truncated CRC footer")
+    crcs = struct.unpack_from(f"<{n_frames}I", data, pos)
+
+    prev_recon = key_recon = None
+    recons, frames = [], []
+    for i, (ftype, q_level, m, start, end) in enumerate(records):
         ctx = _FrameCtx(pw, ph, q_level, ftype, key_recon=key_recon,
                         prev_recon=prev_recon, motion=m)
-        br = BitReader(data[pos:pos + plen])
-        pos += plen
+        br = BitReader(data[start:end])
         for row in _superblock_rows(ctx):
             for rect in row:
                 _decode_node(ctx, rect, br)
         recon = ctx.recon_frame(i, width, height)
+        if crcs[i] != _recon_crc(recon):
+            raise BitstreamError(f"reconstruction CRC mismatch at frame {i}")
         recons.append(recon)
         frames.append(crop_frame(recon, width, height))
         prev_recon = recon
         if ftype == KEY_FRAME:
             key_recon = recon
-    if pos + 4 * n_frames > len(data):
-        raise BitstreamError("truncated CRC footer")
-    for i, recon in enumerate(recons):
-        (crc,) = struct.unpack_from("<I", data, pos + 4 * i)
-        if crc != _recon_crc(recon):
-            raise BitstreamError(f"reconstruction CRC mismatch at frame {i}")
     return DecodeResult(sequence=Sequence(frames=tuple(frames)),
                         reconstructions=recons)

@@ -68,11 +68,6 @@ class AffineMotion:
     def translation(cls, tx, ty):
         return cls(tx=float(tx), ty=float(ty))
 
-    def quantized_q16(self) -> "AffineMotion":
-        """Round parameters to the Q16.16 grid used in frame headers."""
-        q = [round(v * 65536.0) / 65536.0 for v in self.as_tuple()]
-        return AffineMotion(*q)
-
 
 @dataclass
 class EstimationConfig:

@@ -54,6 +54,21 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert "size" in capsys.readouterr().err.lower()
 
 
+@pytest.mark.parametrize("argv", [
+    ["segment", "--weights", "w.txnn", "--input", "c.y4m", "--out-dir", "m",
+     "--seed", "1"],
+    ["decode", "--in", "c.txc", "--out", "o.y4m", "--seed", "1"],
+    ["bd", "--baseline", "b.json", "--test", "t.json", "--seed", "1"],
+    ["motion", "--cur", "c.y4m", "--ref", "r.y4m", "--mask", "m.pgm",
+     "--frames", "2"],
+], ids=["segment-seed", "decode-seed", "bd-seed", "motion-frames"])
+def test_unread_options_are_usage_errors(argv, capsys):
+    # options that a subcommand would not read are not accepted
+    assert main(argv) == 2
+    assert "unrecognized arguments: " + " ".join(argv[-2:]) in \
+        capsys.readouterr().err
+
+
 def test_domain_errors_exit_one(tmp_path, capsys):
     assert main(["decode", "--in", str(tmp_path / "missing.txc"),
                  "--out", str(tmp_path / "o.y4m")]) == 1

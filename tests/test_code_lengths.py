@@ -126,9 +126,9 @@ def _leaves(draw):
         rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
         kind = draw(st.sampled_from(("zero", "small", "large")))
         k = (size // LUMA_TU) ** 2
-        for plane in ("y", "u", "v"):
-            tu = LUMA_TU if plane == "y" else CHROMA_TU
-            leaf.levels[plane] = _levels(rng, k, tu, kind)
+        y, u, v = (_levels(rng, k, LUMA_TU if plane == "y" else CHROMA_TU,
+                           kind) for plane in ("y", "u", "v"))
+        leaf.levels = {"y": y[None], "uv": np.array([u, v])}
     return leaf
 
 

@@ -16,10 +16,11 @@ from texcodec.codec import (_TU, INTER_FRAME, KEY_FRAME, MAGIC, MAX_LEVEL,
                             MIN_BLOCK, SUPERBLOCK, VERSION, BlockMode,
                             EncoderConfig, _FrameCtx, _Leaf, _apply_leaf,
                             _encode, _estimate_frame_motion, _leaf_bits,
-                            _plane_rect, _prediction, _read_coeffs,
-                            _reconstruct_leaf, _RowTables, _search_node,
-                            _superblock_rows, _tiles, decode_sequence,
-                            encode_sequence, is_texture_block)
+                            _plane_rect, _prediction, _q16, _q16_motion,
+                            _read_coeffs, _reconstruct_leaf, _RowTables,
+                            _search_node, _superblock_rows, _tiles,
+                            decode_sequence, encode_sequence,
+                            is_texture_block)
 from texcodec.datasets import NON_TEXTURE, TEXTURE
 from texcodec.frames import BLOCK, BlockRect, Frame, Sequence, pad16, pad_frame
 from texcodec.motion import AffineMotion, MotionModelKind, diamond_search
@@ -162,6 +163,20 @@ def test_key_frames_are_intra_only():
 def test_texture_leaf_costs_only_mode_bits():
     assert _leaf_bits(_Leaf(mode=BlockMode.TEXTURE), with_flag=False) == 2
     assert _leaf_bits(_Leaf(mode=BlockMode.TEXTURE), with_flag=True) == 3
+
+
+def test_motion_header_ints_round_to_q16():
+    # a frame header codes each motion parameter as round(v * 2**16), and
+    # the encoder predicts from the motion those ints code
+    m = AffineMotion(a11=1.0 + 1.0 / 3.0, tx=0.1)
+    q16 = _q16(m)
+    assert q16 == (round((1 + 1 / 3) * 65536), 0, 0, 65536,
+                   round(0.1 * 65536), 0)
+    q = _q16_motion(q16)
+    assert q.a11 == round((1 + 1 / 3) * 65536) / 65536
+    assert q.tx == round(0.1 * 65536) / 65536
+    assert abs(q.a11 - m.a11) <= 0.5 / 65536
+    assert _q16(q) == q16
 
 
 def _parse_frame_headers(bitstream):
@@ -386,43 +401,51 @@ def _all_patterns(size):
     return ["leaf"] + [c for c in itertools.product(subs, repeat=4)]
 
 
+def _yuv(planes):
+    """The y, u and v planes of a frame's "y" and "uv" sample arrays, as
+    views."""
+    return {"y": planes["y"][0], "u": planes["uv"][0], "v": planes["uv"][1]}
+
+
 def _snapshot(ctx, rect):
     out = {}
-    for plane in ("y", "u", "v"):
+    for plane, a in _yuv(ctx.recon).items():
         x, y, s = _plane_rect(plane, rect)
-        out[plane] = ctx.recon[plane][y:y + s, x:x + s].copy()
+        out[plane] = a[y:y + s, x:x + s].copy()
     return out
 
 
 def _restore(ctx, rect, snap):
-    for plane in ("y", "u", "v"):
+    for plane, a in _yuv(ctx.recon).items():
         x, y, s = _plane_rect(plane, rect)
-        ctx.recon[plane][y:y + s, x:x + s] = snap[plane]
+        a[y:y + s, x:x + s] = snap[plane]
 
 
 def _reference_leaf(ctx, mode, rect, search_range):
-    """A GLOBAL_WARP, INTER_MV or INTRA_DC leaf built at one node alone:
-    its MV, levels and reconstruction (the working planes are left as they
-    are), its bits without the split flag, and its SSD."""
+    """A GLOBAL_WARP, INTER_MV or INTRA_DC leaf built at one node alone,
+    one plane at a time: its MV, levels and reconstruction (the working
+    planes are left as they are), its bits without the split flag, and its
+    SSD."""
     leaf = _Leaf(mode=mode)
+    orig = _yuv(ctx.orig)
     if mode == BlockMode.INTER_MV:
-        block = ctx.orig["y"][rect.y:rect.y + rect.size,
-                              rect.x:rect.x + rect.size]
-        dx, dy, _ = diamond_search(block, ctx.prev_recon["y"], rect.x, rect.y,
-                                   search_range)
+        block = orig["y"][rect.y:rect.y + rect.size, rect.x:rect.x + rect.size]
+        dx, dy, _ = diamond_search(block, _yuv(ctx.prev_recon)["y"], rect.x,
+                                   rect.y, search_range)
         leaf.mv = (dx, dy)
-    for plane in ("y", "u", "v"):
-        pred = _prediction(ctx, leaf, rect, plane)
-        x, y, s = _plane_rect(plane, rect)
-        res = ctx.orig[plane][y:y + s, x:x + s].astype(np.int64) - pred
-        leaf.levels[plane] = transform_quantize(_tiles(res, _TU[plane]),
-                                                ctx.q_step)
+    for array, planes in (("y", ("y",)), ("uv", ("u", "v"))):
+        pred = _prediction(ctx, leaf, rect, array)
+        x, y, s = _plane_rect(array, rect)
+        res = [orig[plane][y:y + s, x:x + s].astype(np.int64) - p
+               for plane, p in zip(planes, pred)]
+        leaf.levels[array] = np.array([transform_quantize(
+            _tiles(r, _TU[array]), ctx.q_step) for r in res])
     leaf.recon = _reconstruct_leaf(ctx, leaf, rect)
     dist = 0
-    for plane in ("y", "u", "v"):
+    for plane, a in _yuv(leaf.recon).items():
         x, y, s = _plane_rect(plane, rect)
-        d = (ctx.orig[plane][y:y + s, x:x + s].astype(np.int64)
-             - leaf.recon[plane].astype(np.int64))
+        d = (orig[plane][y:y + s, x:x + s].astype(np.int64)
+             - a.astype(np.int64))
         dist += int((d * d).sum())
     return leaf, _leaf_bits(leaf, with_flag=False), dist
 
@@ -460,7 +483,7 @@ def test_rd_search_matches_exhaustive_oracle(seed, q):
     cfg = EncoderConfig(q_level=q, gf_group_size=8, texture_mode=False)
     key_recon = encode_sequence(seq, None, cfg).reconstructions[0]
     frame1 = seq[1]
-    m = _estimate_frame_motion(frame1, key_recon, None, cfg)
+    m = _q16_motion(_estimate_frame_motion(frame1, key_recon, None, cfg))
     ctx = _FrameCtx(64, 64, cfg.q_step, INTER_FRAME, key_recon=key_recon,
                     prev_recon=key_recon, motion=m, orig=frame1,
                     rd_lambda=cfg.rd_lambda)
@@ -498,7 +521,7 @@ def test_search_ignores_what_its_node_held(ftype, rect):
     seq = random_sequence(144, 128, 2, seed=44)  # 128 + 16: a partial column
     cfg = EncoderConfig(q_level=24, texture_mode=False)
     key_recon = encode_sequence(seq, None, cfg).reconstructions[0]
-    m = _estimate_frame_motion(seq[1], key_recon, None, cfg)
+    m = _q16_motion(_estimate_frame_motion(seq[1], key_recon, None, cfg))
     rng = np.random.default_rng(45)
     context = {p: rng.integers(0, 256, getattr(key_recon, p).shape,
                                dtype=np.uint8) for p in ("y", "u", "v")}
@@ -507,10 +530,11 @@ def test_search_ignores_what_its_node_held(ftype, rect):
         ctx = _FrameCtx(144, 128, cfg.q_step, ftype, key_recon=key_recon,
                         prev_recon=key_recon, motion=m, orig=seq[1],
                         rd_lambda=cfg.rd_lambda)
+        recon = _yuv(ctx.recon)
         for plane, a in context.items():
-            ctx.recon[plane][:] = a
+            recon[plane][:] = a
             x, y, s = _plane_rect(plane, rect)
-            inside = ctx.recon[plane][y:y + s, x:x + s]
+            inside = recon[plane][y:y + s, x:x + s]
             inside[:] = 0 if fill == "zeros" else rng.integers(
                 0, 256, inside.shape, dtype=np.uint8)
         tree, bits, dist = _search_node(
@@ -520,7 +544,7 @@ def test_search_ignores_what_its_node_held(ftype, rect):
             x, y, s = _plane_rect(plane, rect)
             outside = np.ones(a.shape, bool)
             outside[y:y + s, x:x + s] = False
-            assert np.array_equal(ctx.recon[plane][outside], a[outside])
+            assert np.array_equal(recon[plane][outside], a[outside])
         results.append((_modes(tree), bits, dist, block))
     (modes0, bits0, dist0, block0), (modes1, bits1, dist1, block1) = results
     assert (modes0, bits0, dist0) == (modes1, bits1, dist1)
@@ -567,7 +591,8 @@ def test_rd_tables_match_per_node_reference():
         recons = encode_sequence(seq, masks, cfg).reconstructions
         for i in (1, 2, 3):
             cur_mask = masks[i] if texture else None
-            m = _estimate_frame_motion(padded[i], recons[0], cur_mask, cfg)
+            m = _q16_motion(_estimate_frame_motion(padded[i], recons[0],
+                                                   cur_mask, cfg))
             ctx = _FrameCtx(pw, ph, cfg.q_step, INTER_FRAME,
                             key_recon=recons[0], prev_recon=recons[i - 1],
                             motion=m, orig=padded[i], rd_lambda=cfg.rd_lambda)
@@ -581,14 +606,14 @@ def test_rd_tables_match_per_node_reference():
                     ctx, sb, cfg, None, None)]) - len(want)
                 for rect in want:
                     n_nodes += 1
-                    got = tables.inter_candidates(rect)
+                    got = tables.inter[rect]
                     for (leaf, bits, dist), mode in zip(
                             got, (BlockMode.GLOBAL_WARP, BlockMode.INTER_MV)):
                         ref, ref_bits, ref_dist = _reference_leaf(
                             ctx, mode, rect, cfg.search_range)
                         assert (leaf.mode, leaf.mv, bits, dist) == (
                             ref.mode, ref.mv, ref_bits, ref_dist)
-                        for plane in ("y", "u", "v"):
+                        for plane in ("y", "uv"):
                             assert np.array_equal(leaf.levels[plane],
                                                   ref.levels[plane])
                             assert np.array_equal(leaf.recon[plane],

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from texcodec import codec
 from texcodec.bitio import BitstreamError
 from texcodec.codec import (INTER_FRAME, EncoderConfig, decode_sequence,
                             encode_sequence)
@@ -69,7 +70,7 @@ streams = st.integers(0, 2)
 
 def test_every_header_and_footer_cut_is_rejected():
     # every cut inside the file header, a frame header, a payload length
-    # or the CRC footer; the payloads' own cuts are drawn below
+    # or the CRC footer; test_any_cut_is_rejected adds the payloads' cuts
     for data in _streams():
         frames, footer = _layout(data)
         cuts = set(range(struct.calcsize(FILE_HEADER) + 1))
@@ -82,14 +83,39 @@ def test_every_header_and_footer_cut_is_rejected():
                 decode_sequence(data[:cut])
 
 
-@SETTINGS
-@given(streams, st.floats(0, 1, exclude_max=True))
-def test_any_cut_is_rejected(which, where):
-    data = _streams()[which]
-    cut = int(where * len(data))
-    with pytest.raises(BitstreamError):
-        decode_sequence(data[:cut])
-    _decode_traced(data[:cut])
+def test_any_cut_is_rejected():
+    # every cut of every stream: the file header, each frame's header,
+    # payload length and payload, and the CRC footer
+    tracemalloc.start()
+    try:
+        for data in _streams():
+            for cut in range(len(data)):
+                tracemalloc.reset_peak()
+                try:
+                    decode_sequence(data[:cut])
+                except BitstreamError:
+                    pass
+                else:
+                    pytest.fail(f"a cut to {cut} bytes decoded")
+                assert tracemalloc.get_traced_memory()[1] < PEAK_BOUND
+    finally:
+        tracemalloc.stop()
+
+
+def test_cut_in_last_payload_or_footer_is_rejected_before_decoding(
+        monkeypatch):
+    # the decoder walks every frame record and the footer first
+    def decode_node(*args):
+        raise AssertionError("a frame was decoded")
+
+    monkeypatch.setattr(codec, "_decode_node", decode_node)
+    for data in _streams():
+        _, footer = _layout(data)
+        for cut, error in ((footer - 1, "truncated payload"),
+                           (footer, "CRC footer"),
+                           (len(data) - 1, "CRC footer")):
+            with pytest.raises(BitstreamError, match=error):
+                decode_sequence(data[:cut])
 
 
 @SETTINGS

@@ -44,14 +44,6 @@ def test_affine_motion_basics():
         AffineMotion(a11=float("nan"))
 
 
-def test_quantized_q16():
-    m = AffineMotion(a11=1.0 + 1.0 / 3.0, tx=0.1)
-    q = m.quantized_q16()
-    assert q.a11 == round((1 + 1 / 3) * 65536) / 65536
-    assert q.tx == round(0.1 * 65536) / 65536
-    assert abs(q.a11 - m.a11) <= 0.5 / 65536
-
-
 def test_chroma_motion_halves_translation():
     m = AffineMotion(a11=1.1, a12=0.02, a21=-0.02, a22=1.1, tx=6.0, ty=-4.0)
     c = chroma_motion(m)
