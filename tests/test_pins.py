@@ -1,14 +1,20 @@
 """Behaviour pins: SHA-256 of TXC1 bitstreams and leaf traces, and the rates
-of an RD sweep, for small fixed inputs.  A refactor that keeps the format
-must keep these values; a deliberate format change bumps the version and
-updates them."""
+of an RD sweep, for small fixed inputs; and of the analysis side's outputs:
+trained weights, segmentation masks and Y4M bytes.  A refactor that keeps
+the format must keep these values; a deliberate format change bumps the
+version and updates them."""
 
 import hashlib
+import io
 
 import pytest
 
+from texcodec.analyzer import segment_frame, train_classifier
 from texcodec.codec import EncoderConfig, encode_sequence
+from texcodec.datasets import DatasetConfig, synthesize_dataset
+from texcodec.frames import write_y4m
 from texcodec.metrics import rd_sweep
+from texcodec.nnet import NetSpec, TrainConfig, save_params
 from texcodec.sequences import panning_texture_sequence, random_sequence
 
 
@@ -61,3 +67,41 @@ def test_pin_rd_sweep_rates():
     rates = [(r["rate_baseline"], r["rate_texture"]) for r in report["levels"]]
     assert rates == [(17132, 17236), (13416, 13568), (12060, 12240),
                      (11048, 11192)]
+
+
+@pytest.fixture(scope="module")
+def one_epoch_net():
+    ds = synthesize_dataset(DatasetConfig(n_texture=40, n_non_texture=160),
+                            seed=4)
+    net, _ = train_classifier(ds, TrainConfig(batch_size=64, epochs=1,
+                                              rng_seed=4),
+                              spec=NetSpec(conv_channels=(8, 16),
+                                           fc_sizes=(32,)))
+    return net
+
+
+def test_pin_trained_weights(one_epoch_net):
+    buf = io.BytesIO()
+    save_params(one_epoch_net, buf)
+    assert _sha(buf.getvalue()) == (
+        "360c9d97abc03447974929dc9b86843b2b68303ee8a7dfdc7fa9d3e2d4a7fc6f")
+
+
+def test_pin_segmentation_masks(one_epoch_net):
+    # odd-sized frames: segment_frame pads them and upsamples odd chroma
+    seq, _ = panning_texture_sequence(50, 34, 3)
+    h = hashlib.sha256()
+    for f in seq:
+        m = segment_frame(f, one_epoch_net)
+        h.update(m.labels.tobytes())
+        h.update(m.probs.tobytes())
+    assert h.hexdigest() == (
+        "fc99e932d22afe4f6a753f52b664d6fbfa50dbcf391fc41d4e9cbe0a30582fdb")
+
+
+def test_pin_y4m_bytes():
+    seq, _ = panning_texture_sequence(50, 34, 3)
+    buf = io.BytesIO()
+    write_y4m(seq, buf)
+    assert _sha(buf.getvalue()) == (
+        "c6948f2b18f16ebc12f16dc6bb2e8e04c4022f027994f900291b2f600e31fc24")
