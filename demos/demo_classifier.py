@@ -36,8 +36,7 @@ def main():
     y = np.zeros((h, w), np.uint8)
     y[:, : w // 2] = _noise_texture(rng, h, w // 2, sigma=0.8)
     y[:, w // 2:] = np.linspace(40, 200, w // 2, dtype=np.uint8)[None, :]
-    frame = Frame(y=y, u=np.full((h // 2, w // 2), 128, np.uint8),
-                  v=np.full((h // 2, w // 2), 128, np.uint8))
+    frame = Frame(y=y, uv=np.full((2, h // 2, w // 2), 128, np.uint8))
 
     mask = clean_mask(segment_frame(frame, net), min_region_blocks=2)
     print("\nblock labels (T = texture, . = non-texture):")

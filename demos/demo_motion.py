@@ -20,8 +20,7 @@ def main():
     rng = np.random.default_rng(0)
     h, w = 144, 192
     ref = Frame(y=_noise_texture(rng, h, w, sigma=0.8),
-                u=np.full((h // 2, w // 2), 128, np.uint8),
-                v=np.full((h // 2, w // 2), 128, np.uint8))
+                uv=np.full((2, h // 2, w // 2), 128, np.uint8))
 
     zoom, theta = 1.02, np.deg2rad(1.0)
     truth = AffineMotion(a11=zoom * np.cos(theta), a12=zoom * np.sin(theta),

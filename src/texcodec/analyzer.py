@@ -20,6 +20,9 @@ from .datasets import NON_TEXTURE, TEXTURE, PatchDataset
 from .frames import BLOCK, Frame, pad_frame
 from .nnet import Net, NetSpec, SGD, TrainConfig, cross_entropy_weighted, softmax
 
+VAL_FRACTION = 0.1  # share of the dataset held out for validation
+_EVAL_BATCH = 2048  # samples per eval-mode forward pass
+
 
 class TrainingError(RuntimeError):
     pass
@@ -70,10 +73,8 @@ def frame_to_rgb(frame: Frame) -> np.ndarray:
     """Full-range BT.601 YUV -> RGB, (H, W, 3) float32 in [0, 255].
     Chroma is upsampled by 2x pixel replication."""
     y = frame.y.astype(np.float32)
-    u = frame.u.repeat(2, axis=0).repeat(2, axis=1)[: y.shape[0], : y.shape[1]]
-    v = frame.v.repeat(2, axis=0).repeat(2, axis=1)[: y.shape[0], : y.shape[1]]
-    u = u.astype(np.float32) - 128.0
-    v = v.astype(np.float32) - 128.0
+    uv = frame.uv.repeat(2, axis=1).repeat(2, axis=2)[:, : y.shape[0], : y.shape[1]]
+    u, v = uv.astype(np.float32) - 128.0
     r = y + 1.402 * v
     g = y - 0.344136 * u - 0.714136 * v
     b = y + 1.772 * u
@@ -110,7 +111,7 @@ def balanced_accuracy(pred: np.ndarray, labels: np.ndarray) -> float:
 
 
 def train_classifier(dataset: PatchDataset, cfg: TrainConfig,
-                     spec: NetSpec | None = None, val_fraction: float = 0.1,
+                     spec: NetSpec | None = None,
                      target_val_accuracy: float | None = None):
     """Train the block classifier; returns (net, per-epoch log).
 
@@ -127,7 +128,7 @@ def train_classifier(dataset: PatchDataset, cfg: TrainConfig,
 
     n = len(dataset)
     order = rng.permutation(n)
-    n_val = int(round(n * val_fraction))
+    n_val = int(round(n * VAL_FRACTION))
     val_idx, train_idx = order[:n_val], order[n_val:]
     x_all = preprocess_patches(dataset.patches)
     y_all = dataset.labels
@@ -170,12 +171,17 @@ def train_classifier(dataset: PatchDataset, cfg: TrainConfig,
     return net, log
 
 
-def predict_labels(net: Net, x: np.ndarray, batch: int = 2048) -> np.ndarray:
-    out = np.empty(len(x), dtype=np.int64)
-    for start in range(0, len(x), batch):
-        out[start:start + batch] = net.predict_probs(
-            x[start:start + batch]).argmax(axis=1)
-    return out
+def _predict_probs(net: Net, x: np.ndarray) -> np.ndarray:
+    """Eval-mode class probabilities of `x`, _EVAL_BATCH samples per pass."""
+    probs = np.empty((len(x), net.spec.n_classes))
+    for start in range(0, len(x), _EVAL_BATCH):
+        probs[start:start + _EVAL_BATCH] = net.predict_probs(
+            x[start:start + _EVAL_BATCH])
+    return probs
+
+
+def predict_labels(net: Net, x: np.ndarray) -> np.ndarray:
+    return _predict_probs(net, x).argmax(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -192,12 +198,8 @@ def segment_frame(frame: Frame, net: Net, threshold: float = 0.5) -> TextureMask
         .transpose(0, 2, 1, 3, 4)
         .reshape(gh * gw, BLOCK, BLOCK, 3)
     )
-    x = preprocess_patches(cells)
-    probs = np.empty(gh * gw, dtype=np.float32)
-    for start in range(0, len(x), 2048):
-        probs[start:start + 2048] = net.predict_probs(
-            x[start:start + 2048])[:, TEXTURE]
-    probs = probs.reshape(gh, gw)
+    probs = _predict_probs(net, preprocess_patches(cells))[:, TEXTURE]
+    probs = probs.astype(np.float32).reshape(gh, gw)
     return TextureMask(
         labels=(probs >= threshold).astype(np.uint8) * TEXTURE,
         probs=probs,

@@ -152,7 +152,7 @@ class _Leaf:
 
 
 def _planes(f: Frame | None):
-    return None if f is None else {"y": f.y[None], "uv": np.stack((f.u, f.v))}
+    return None if f is None else {"y": f.y[None], "uv": f.uv}
 
 
 class _FrameCtx:
@@ -176,10 +176,10 @@ class _FrameCtx:
         self.recon = {"y": np.zeros((1, ph, pw), np.uint8),
                       "uv": np.zeros((2, ph // 2, pw // 2), np.uint8)}
 
-    def recon_frame(self, frame_index, orig_w, orig_h) -> Frame:
-        (y,), (u, v) = self.recon["y"], self.recon["uv"]
-        return Frame(y=y, u=u, v=v, frame_index=frame_index,
-                     orig_width=orig_w, orig_height=orig_h)
+    def recon_frame(self, frame_index) -> Frame:
+        """The coded frame; Frame() makes the working arrays read-only."""
+        return Frame(y=self.recon["y"][0], uv=self.recon["uv"],
+                     frame_index=frame_index)
 
 
 def _children(ctx: _FrameCtx, rect: BlockRect):
@@ -593,7 +593,7 @@ class _CodedFrame(NamedTuple):
 
 def _encode_frame(i: int, frame: Frame, cur_mask, config: EncoderConfig,
                   key_recon: Frame | None, prev_recon: Frame | None,
-                  key_mask, width: int, height: int) -> _CodedFrame:
+                  key_mask) -> _CodedFrame:
     """Code padded frame `i`.  A KEY frame reads neither the references,
     the masks nor `config.texture_mode`."""
     is_key = i % config.gf_group_size == 0
@@ -621,7 +621,7 @@ def _encode_frame(i: int, frame: Frame, cur_mask, config: EncoderConfig,
     payload = bw.to_bytes()
     data = header + struct.pack("<I", len(payload)) + payload
 
-    recon = ctx.recon_frame(i, width, height)
+    recon = ctx.recon_frame(i)
     mode_counts = {mode.name: 0 for mode in BlockMode}
     tex_area = 0
     for rect, mode in trace:
@@ -667,16 +667,14 @@ def _encode(seq: Sequence, masks,
     for i, frame in enumerate(padded):
         cur_mask = masks[i] if masks is not None else None
         if i % first.gf_group_size == 0:
-            key = _encode_frame(i, frame, cur_mask, first, None, None, None,
-                                seq.width, seq.height)
+            key = _encode_frame(i, frame, cur_mask, first, None, None, None)
             key_mask = cur_mask
             for frames in coded:
                 frames.append(key)
             continue
         for cfg, frames in zip(configs, coded):
             frames.append(_encode_frame(i, frame, cur_mask, cfg, key.recon,
-                                        frames[-1].recon, key_mask,
-                                        seq.width, seq.height))
+                                        frames[-1].recon, key_mask))
 
     head = struct.pack("<4sBHHHBB", MAGIC, VERSION, seq.width, seq.height,
                        len(seq), first.gf_group_size,
@@ -696,10 +694,8 @@ def encode_sequence(seq: Sequence, masks, config: EncoderConfig) -> EncodeResult
 
 
 def _recon_crc(f: Frame) -> int:
-    crc = zlib.crc32(f.y.tobytes())
-    crc = zlib.crc32(f.u.tobytes(), crc)
-    crc = zlib.crc32(f.v.tobytes(), crc)
-    return crc & 0xFFFFFFFF
+    """CRC-32 of the y, u and v samples in file order."""
+    return zlib.crc32(f.uv, zlib.crc32(f.y)) & 0xFFFFFFFF
 
 
 # ---------------------------------------------------------------------------
@@ -778,7 +774,7 @@ def decode_sequence(data: bytes) -> DecodeResult:
         for row in _superblock_rows(ctx):
             for rect in row:
                 _decode_node(ctx, rect, br)
-        recon = ctx.recon_frame(i, width, height)
+        recon = ctx.recon_frame(i)
         if crcs[i] != _recon_crc(recon):
             raise BitstreamError(f"reconstruction CRC mismatch at frame {i}")
         recons.append(recon)

@@ -8,7 +8,7 @@ workers without copies.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,26 +27,28 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Frame:
-    """One planar 4:2:0 picture.  U and V are half resolution per axis."""
+    """One 4:2:0 picture: luma `y`, and `uv`, the half-size U then V planes."""
 
     y: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
+    uv: np.ndarray
     frame_index: int = 0
-    # Dimensions before pad_frame(); None until a frame has been padded.
-    orig_width: int | None = None
-    orig_height: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "y", _readonly(self.y))
-        object.__setattr__(self, "u", _readonly(self.u))
-        object.__setattr__(self, "v", _readonly(self.v))
+        object.__setattr__(self, "uv", _readonly(self.uv))
         h, w = self.y.shape
-        ch, cw = (h + 1) // 2, (w + 1) // 2
-        if self.u.shape != (ch, cw) or self.v.shape != (ch, cw):
+        if self.uv.shape != (2, (h + 1) // 2, (w + 1) // 2):
             raise ValueError(
-                f"chroma shape {self.u.shape} does not match luma {w}x{h}"
+                f"chroma shape {self.uv.shape} does not match luma {w}x{h}"
             )
+
+    @property
+    def u(self) -> np.ndarray:
+        return self.uv[0]
+
+    @property
+    def v(self) -> np.ndarray:
+        return self.uv[1]
 
     @property
     def width(self) -> int:
@@ -57,11 +59,8 @@ class Frame:
         return self.y.shape[0]
 
     def same_samples(self, other: "Frame") -> bool:
-        return (
-            np.array_equal(self.y, other.y)
-            and np.array_equal(self.u, other.u)
-            and np.array_equal(self.v, other.v)
-        )
+        return (np.array_equal(self.y, other.y)
+                and np.array_equal(self.uv, other.uv))
 
 
 @dataclass(frozen=True)
@@ -115,11 +114,10 @@ def frame_size_bytes(width: int, height: int) -> int:
 
 def _frame_from_bytes(buf: bytes, width: int, height: int, index: int) -> Frame:
     cw, ch = (width + 1) // 2, (height + 1) // 2
-    ysz, csz = width * height, cw * ch
+    ysz = width * height
     y = np.frombuffer(buf, dtype=np.uint8, count=ysz).reshape(height, width)
-    u = np.frombuffer(buf, dtype=np.uint8, count=csz, offset=ysz).reshape(ch, cw)
-    v = np.frombuffer(buf, dtype=np.uint8, count=csz, offset=ysz + csz).reshape(ch, cw)
-    return Frame(y=y, u=u, v=v, frame_index=index)
+    uv = np.frombuffer(buf, dtype=np.uint8, offset=ysz).reshape(2, ch, cw)
+    return Frame(y=y, uv=uv, frame_index=index)
 
 
 def read_y4m(source) -> Sequence:
@@ -195,13 +193,12 @@ def write_y4m(seq: Sequence, sink) -> int:
     for f in seq:
         n += sink.write(b"FRAME\n")
         n += sink.write(f.y.tobytes())
-        n += sink.write(f.u.tobytes())
-        n += sink.write(f.v.tobytes())
+        n += sink.write(f.uv.tobytes())
     return n
 
 
-def read_yuv(source, width: int, height: int, frame_count: int | None = None,
-             frame_rate: tuple[int, int] = (30, 1)) -> Sequence:
+def read_yuv(source, width: int, height: int,
+             frame_count: int | None = None) -> Sequence:
     """Read headerless planar 4:2:0 data with caller-provided geometry."""
     if isinstance(source, (bytes, bytearray)):
         source = io.BytesIO(source)
@@ -220,7 +217,7 @@ def read_yuv(source, width: int, height: int, frame_count: int | None = None,
         frames.append(_frame_from_bytes(buf, width, height, len(frames)))
     if not frames:
         raise Y4MError("no frames in raw YUV input")
-    return Sequence(frames=tuple(frames), frame_rate=frame_rate)
+    return Sequence(frames=tuple(frames))
 
 
 def pad16(n: int) -> int:
@@ -233,24 +230,17 @@ def pad_frame(f: Frame) -> Frame:
     pw, ph = pad16(w), pad16(h)
     if (pw, ph) == (w, h):
         return f
-    cpw, cph = pw // 2, ph // 2
+    _, ch, cw = f.uv.shape
     y = np.pad(f.y, ((0, ph - h), (0, pw - w)), mode="edge")
-    u = np.pad(f.u, ((0, cph - f.u.shape[0]), (0, cpw - f.u.shape[1])), mode="edge")
-    v = np.pad(f.v, ((0, cph - f.v.shape[0]), (0, cpw - f.v.shape[1])), mode="edge")
-    return Frame(
-        y=y, u=u, v=v, frame_index=f.frame_index,
-        orig_width=f.orig_width if f.orig_width is not None else w,
-        orig_height=f.orig_height if f.orig_height is not None else h,
-    )
+    uv = np.pad(f.uv, ((0, 0), (0, ph // 2 - ch), (0, pw // 2 - cw)),
+                mode="edge")
+    return Frame(y=y, uv=uv, frame_index=f.frame_index)
 
 
 def crop_frame(f: Frame, width: int, height: int) -> Frame:
     """Crop a (padded) frame back to `width` x `height`."""
     if width > f.width or height > f.height:
         raise ValueError("crop larger than frame")
-    return Frame(
-        y=f.y[:height, :width],
-        u=f.u[: (height + 1) // 2, : (width + 1) // 2],
-        v=f.v[: (height + 1) // 2, : (width + 1) // 2],
-        frame_index=f.frame_index,
-    )
+    return Frame(y=f.y[:height, :width],
+                 uv=f.uv[:, : (height + 1) // 2, : (width + 1) // 2],
+                 frame_index=f.frame_index)

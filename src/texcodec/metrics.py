@@ -262,6 +262,11 @@ def rd_sweep(seq: Sequence, masks, q_levels=DEFAULT_Q_LEVELS,
 
 
 def curve_from_json(points) -> RDCurve:
+    """An RD curve from its JSON form: a list of {"rate", "psnr"} objects."""
+    if not isinstance(points, list) or not all(
+            isinstance(p, dict) and type(p.get("rate")) in (int, float)
+            and type(p.get("psnr")) in (int, float) for p in points):
+        raise MetricsError('an RD curve is a list of numeric {"rate", "psnr"}')
     return RDCurve(tuple(RDPoint(p["rate"], p["psnr"]) for p in points))
 
 

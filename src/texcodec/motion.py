@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -21,6 +22,8 @@ from .datasets import TEXTURE
 from .frames import BLOCK, Frame
 
 DET_MIN, DET_MAX = 0.25, 4.0
+RANSAC_THRESHOLD = 1.5  # px: a correspondence within it is an inlier
+RANSAC_ITERATIONS = 200
 
 
 class MotionError(ValueError):
@@ -72,8 +75,6 @@ class AffineMotion:
 @dataclass
 class EstimationConfig:
     search_range: int = 32
-    ransac_threshold: float = 1.5
-    ransac_iterations: int = 200
     rng_seed: int = 1234
 
 
@@ -293,20 +294,20 @@ def fit_motion_ransac(src, dst, kind: MotionModelKind,
     rng = np.random.default_rng(config.rng_seed)
     best_inliers = None
     best_count = -1
-    for _ in range(config.ransac_iterations):
+    for _ in range(RANSAC_ITERATIONS):
         idx = rng.choice(n, size=min_pts, replace=False)
         try:
             cand = fitter(src[idx], dst[idx])
         except (MotionError, np.linalg.LinAlgError):
             continue
-        inl = _residuals(cand, src, dst) <= config.ransac_threshold
+        inl = _residuals(cand, src, dst) <= RANSAC_THRESHOLD
         if inl.sum() > best_count:
             best_count, best_inliers = int(inl.sum()), inl
     if best_inliers is None or best_count < min_pts:
         best_inliers = np.ones(n, dtype=bool)
     model = fitter(src[best_inliers], dst[best_inliers])
     # one re-selection pass after the refit
-    inl = _residuals(model, src, dst) <= config.ransac_threshold
+    inl = _residuals(model, src, dst) <= RANSAC_THRESHOLD
     if inl.sum() >= min_pts:
         model = fitter(src[inl], dst[inl])
         best_inliers = inl
@@ -363,9 +364,12 @@ def estimate_texture_motion(cur: Frame, ref: Frame, cur_mask: TextureMask,
 # warping
 
 
-def bilinear_sample(plane: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation with edge clamping; returns uint8."""
-    h, w = plane.shape
+def bilinear_sample(planes: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Bilinear interpolation with edge clamping; returns uint8.  `planes` is
+    one (h, w) plane or a (c, h, w) stack whose planes share the sample
+    positions."""
+    h, w = planes.shape[-2:]
+    flat = planes.reshape(*planes.shape[:-2], h * w)
     xs = np.clip(xs, 0.0, w - 1.0)
     ys = np.clip(ys, 0.0, h - 1.0)
     x0 = np.floor(xs).astype(np.int64)
@@ -374,11 +378,15 @@ def bilinear_sample(plane: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.nda
     y1 = np.minimum(y0 + 1, h - 1)
     fx = xs - x0
     fy = ys - y0
+    gx, gy = 1 - fx, 1 - fy
+    row0, row1 = y0 * w, y1 * w
+    # a flat-index take gathers faster than a 2-D fancy index
+    at = partial(np.take, flat, axis=-1)
     val = (
-        plane[y0, x0] * (1 - fx) * (1 - fy)
-        + plane[y0, x1] * fx * (1 - fy)
-        + plane[y1, x0] * (1 - fx) * fy
-        + plane[y1, x1] * fx * fy
+        at(row0 + x0) * gx * gy
+        + at(row0 + x1) * fx * gy
+        + at(row1 + x0) * gx * fy
+        + at(row1 + x1) * fx * fy
     )
     return np.clip(np.rint(val), 0, 255).astype(np.uint8)
 
@@ -391,24 +399,24 @@ def chroma_motion(m: AffineMotion) -> AffineMotion:
 _WARP_BAND = 16  # output rows `warp_frame` samples per step
 
 
-def _warp_plane(plane: np.ndarray, m: AffineMotion) -> np.ndarray:
-    """out[x, y] = plane[m(x, y)], sampled _WARP_BAND output rows at a time
-    so that the scratch arrays stay a small multiple of one row."""
-    h, w = plane.shape
-    out = np.empty((h, w), np.uint8)
+def _warp_planes(planes: np.ndarray, m: AffineMotion) -> np.ndarray:
+    """out[..., y, x] = planes[..., m(x, y)] for an (h, w) plane or a
+    (c, h, w) stack, sampled _WARP_BAND output rows at a time so that the
+    scratch arrays stay a small multiple of one row."""
+    h, w = planes.shape[-2:]
+    out = np.empty(planes.shape, np.uint8)
     x = np.arange(w, dtype=np.float64)
     for top in range(0, h, _WARP_BAND):
         y = np.arange(top, min(top + _WARP_BAND, h), dtype=np.float64)[:, None]
-        out[top:top + len(y)] = bilinear_sample(plane, *m.apply(x, y))
+        out[..., top:top + len(y), :] = bilinear_sample(planes, *m.apply(x, y))
     return out
 
 
 def warp_frame(ref: Frame, m: AffineMotion) -> Frame:
     """Warp the whole reference frame: out[x, y] = ref[m(x, y)]."""
-    mc = chroma_motion(m)
-    return Frame(y=_warp_plane(ref.y, m), u=_warp_plane(ref.u, mc),
-                 v=_warp_plane(ref.v, mc), frame_index=ref.frame_index,
-                 orig_width=ref.orig_width, orig_height=ref.orig_height)
+    return Frame(y=_warp_planes(ref.y, m),
+                 uv=_warp_planes(ref.uv, chroma_motion(m)),
+                 frame_index=ref.frame_index)
 
 
 def warp_rect(m: AffineMotion, rect) -> tuple[tuple[float, float], ...]:

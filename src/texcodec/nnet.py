@@ -455,9 +455,11 @@ def load_params(net: Net, source) -> Net:
     magic = source.read(4)
     if magic != WEIGHTS_MAGIC:
         raise WeightsError(f"bad magic {magic!r}")
-    (version,) = struct.unpack("<B", source.read(1))
-    if version != WEIGHTS_VERSION:
-        raise WeightsError(f"unsupported weights version {version}")
+    version = source.read(1)
+    if not version:
+        raise WeightsError("truncated weights file header")
+    if version[0] != WEIGHTS_VERSION:
+        raise WeightsError(f"unsupported weights version {version[0]}")
     h = source.read(8)
     if h != net.spec.spec_hash():
         raise WeightsError("architecture mismatch")

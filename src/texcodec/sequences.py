@@ -15,9 +15,11 @@ from .datasets import NON_TEXTURE, TEXTURE
 from .frames import BLOCK, Frame, Sequence, pad16
 
 
-def _noise_texture(rng, h, w, sigma=1.0, contrast=70.0):
-    g = gaussian_filter(rng.normal(0.0, 1.0, (h, w)), sigma)
-    return np.clip(128 + contrast * g / g.std(), 0, 255).astype(np.uint8)
+def _noise_texture(rng, *shape, sigma=1.0, contrast=70.0):
+    """Smoothed noise of `shape`, each (h, w) plane scaled on its own."""
+    g = gaussian_filter(rng.normal(0.0, 1.0, shape), sigma, axes=(-2, -1))
+    std = g.std(axis=(-2, -1), keepdims=True)
+    return np.clip(128 + contrast * g / std, 0, 255).astype(np.uint8)
 
 
 def random_sequence(width: int, height: int, n_frames: int,
@@ -27,17 +29,14 @@ def random_sequence(width: int, height: int, n_frames: int,
     rng = np.random.default_rng(seed)
     span = width + 2 * n_frames + 8
     y = _noise_texture(rng, height, span, sigma=rng.uniform(0.6, 1.6))
-    u = rng.integers(90, 166, ((height + 1) // 2, (span + 1) // 2)).astype(np.uint8)
-    v = rng.integers(90, 166, ((height + 1) // 2, (span + 1) // 2)).astype(np.uint8)
+    uv = rng.integers(90, 166, (2, (height + 1) // 2,
+                                (span + 1) // 2)).astype(np.uint8)
     out = []
     for i in range(n_frames):
         o = 2 * i
-        out.append(Frame(
-            y=y[:, o:o + width],
-            u=u[:, o // 2:o // 2 + (width + 1) // 2],
-            v=v[:, o // 2:o // 2 + (width + 1) // 2],
-            frame_index=i,
-        ))
+        out.append(Frame(y=y[:, o:o + width],
+                         uv=uv[:, :, o // 2:o // 2 + (width + 1) // 2],
+                         frame_index=i))
     return Sequence(frames=tuple(out))
 
 
@@ -54,10 +53,8 @@ def panning_texture_sequence(width: int = 128, height: int = 96,
     rng = np.random.default_rng(seed)
     span = width + pan_per_frame * n_frames + 4
     bg_y = _noise_texture(rng, height, span, sigma=0.9)
-    bg_u = _noise_texture(rng, (height + 1) // 2, (span + 1) // 2 + n_frames,
-                          sigma=1.2, contrast=25.0)
-    bg_v = _noise_texture(rng, (height + 1) // 2, (span + 1) // 2 + n_frames,
-                          sigma=1.2, contrast=25.0)
+    bg_uv = _noise_texture(rng, 2, (height + 1) // 2,
+                           (span + 1) // 2 + n_frames, sigma=1.2, contrast=25.0)
 
     # static smooth foreground: soft-edged ellipse with a gradient fill
     yy, xx = np.mgrid[0:height, 0:width].astype(np.float64)
@@ -84,12 +81,10 @@ def panning_texture_sequence(width: int = 128, height: int = 96,
         y = bg_y[:, o:o + width].copy()
         y[fg_mask] = fg_y[fg_mask]
         co = o // 2
-        u = bg_u[:, co:co + (width + 1) // 2].copy()
-        v = bg_v[:, co:co + (width + 1) // 2].copy()
+        uv = bg_uv[:, :, co:co + (width + 1) // 2].copy()
         fg2 = fg_mask[::2, ::2]
-        u[fg2] = 110
-        v[fg2] = 140
-        frames_out.append(Frame(y=y, u=u, v=v, frame_index=i))
+        uv[0, fg2], uv[1, fg2] = 110, 140
+        frames_out.append(Frame(y=y, uv=uv, frame_index=i))
         masks.append(TextureMask(
             labels=cell_is_texture.copy(),
             probs=cell_is_texture.astype(np.float32),

@@ -192,8 +192,8 @@ def test_criterion_8_rotzoom_motion_recovery():
     rng = np.random.default_rng(8)
     base = np.random.default_rng(88)
     ref = Frame(y=_noise_texture(base, 144, 192, sigma=0.8),
-                u=np.full((72, 96), 128, np.uint8),
-                v=np.full((72, 96), 128, np.uint8))
+                uv=np.stack((np.full((72, 96), 128, np.uint8),
+                             np.full((72, 96), 128, np.uint8))))
     gh, gw = 144 // 16, 192 // 16
     labels = np.zeros((gh, gw), np.uint8)
     labels[2:gh - 2, 2:gw - 2] = TEXTURE

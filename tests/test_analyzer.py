@@ -31,8 +31,10 @@ def _flat_vs_noise_dataset(n_per_class=120, seed=0):
 
 def _gray_frame(y_plane, index=0):
     h, w = y_plane.shape
-    return Frame(y=y_plane, u=np.full((h // 2, w // 2), 128, np.uint8),
-                 v=np.full((h // 2, w // 2), 128, np.uint8), frame_index=index)
+    return Frame(y=y_plane,
+                 uv=np.stack((np.full((h // 2, w // 2), 128, np.uint8),
+                              np.full((h // 2, w // 2), 128, np.uint8))),
+                 frame_index=index)
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +115,8 @@ def test_segment_grid_shape(trained_net):
 def test_segment_pads_to_grid(trained_net):
     rng = np.random.default_rng(1)
     f = Frame(y=rng.integers(0, 256, (18, 33), dtype=np.uint8),
-              u=rng.integers(0, 256, (9, 17), dtype=np.uint8),
-              v=rng.integers(0, 256, (9, 17), dtype=np.uint8))
+              uv=np.stack((rng.integers(0, 256, (9, 17), dtype=np.uint8),
+                           rng.integers(0, 256, (9, 17), dtype=np.uint8))))
     mask = segment_frame(f, trained_net)
     assert (mask.grid_h, mask.grid_w) == (2, 3)  # padded 32x48
 

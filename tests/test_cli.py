@@ -95,10 +95,20 @@ def test_encode_texture_mode_requires_masks(workdir, tmp_path, capsys):
 
 def test_segment_bad_weights_exits_one(workdir, tmp_path):
     garbage = tmp_path / "w.txnn"
-    garbage.write_bytes(b"\x00" * 64)
-    assert main(["segment", "--weights", str(garbage),
-                 "--input", str(workdir / "clip.y4m"),
-                 "--out-dir", str(tmp_path / "m")]) == 1
+    for weights in (b"\x00" * 64, b"TXNN"):  # garbage; cut in the header
+        garbage.write_bytes(weights)
+        assert main(["segment", "--weights", str(garbage),
+                     "--input", str(workdir / "clip.y4m"),
+                     "--out-dir", str(tmp_path / "m")]) == 1
+
+
+@pytest.mark.parametrize("curve", [{"a": 1}, [{"rate": 1}]],
+                         ids=["object", "no-psnr"])
+def test_bd_bad_curve_file_exits_one(tmp_path, capsys, curve):
+    bad = tmp_path / "curve.json"
+    bad.write_text(json.dumps(curve))
+    assert main(["bd", "--baseline", str(bad), "--test", str(bad)]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

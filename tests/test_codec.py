@@ -225,10 +225,12 @@ def test_static_all_texture_sequence_inter_frames_nearly_free():
     rng = np.random.default_rng(8)
     w, h = 320, 256
     f0 = Frame(y=_noise_texture(rng, h, w, sigma=0.8),
-               u=_noise_texture(rng, h // 2, w // 2, sigma=1.0, contrast=20),
-               v=_noise_texture(rng, h // 2, w // 2, sigma=1.0, contrast=20))
+               uv=np.stack((
+                   _noise_texture(rng, h // 2, w // 2, sigma=1.0, contrast=20),
+                   _noise_texture(rng, h // 2, w // 2, sigma=1.0, contrast=20))))
     seq = Sequence(frames=tuple(
-        Frame(y=f0.y, u=f0.u, v=f0.v, frame_index=i) for i in range(3)))
+        Frame(y=f0.y, uv=np.stack((f0.u, f0.v)), frame_index=i)
+        for i in range(3)))
     masks = _ground_truth_masks(seq)
     enc = encode_sequence(seq, masks, EncoderConfig(q_level=16, gf_group_size=8))
     key_bits = enc.frame_stats[0].bits
@@ -354,8 +356,7 @@ def test_encode_requires_masks_in_texture_mode():
 
 
 def _frame_fields(f: Frame):
-    return (f.y.tobytes(), f.u.tobytes(), f.v.tobytes(), f.frame_index,
-            f.orig_width, f.orig_height)
+    return (f.y.tobytes(), f.u.tobytes(), f.v.tobytes(), f.frame_index)
 
 
 def _result_fields(enc):

@@ -13,8 +13,9 @@ from texcodec.frames import (BlockRect, Frame, Sequence, Y4MError, crop_frame,
 def _random_frame(rng, w, h, index=0):
     return Frame(
         y=rng.integers(0, 256, (h, w), dtype=np.uint8),
-        u=rng.integers(0, 256, ((h + 1) // 2, (w + 1) // 2), dtype=np.uint8),
-        v=rng.integers(0, 256, ((h + 1) // 2, (w + 1) // 2), dtype=np.uint8),
+        uv=np.stack((
+            rng.integers(0, 256, ((h + 1) // 2, (w + 1) // 2), dtype=np.uint8),
+            rng.integers(0, 256, ((h + 1) // 2, (w + 1) // 2), dtype=np.uint8))),
         frame_index=index,
     )
 
@@ -131,7 +132,6 @@ def test_pad_frame_17x16_replicates_last_column():
     f = _random_frame(rng, 17, 16)
     p = pad_frame(f)
     assert (p.width, p.height) == (32, 16)
-    assert (p.orig_width, p.orig_height) == (17, 16)
     for x in range(17, 32):
         assert np.array_equal(p.y[:, x], f.y[:, 16])
     assert np.array_equal(p.y[:, :17], f.y)
@@ -143,7 +143,6 @@ def test_pad_frame_idempotent():
     p1 = pad_frame(f)
     p2 = pad_frame(p1)
     assert p2 is p1
-    assert (p1.orig_width, p1.orig_height) == (21, 13)
 
 
 def test_pad16():
@@ -167,8 +166,8 @@ def test_crop_inverts_pad():
 
 def test_frame_validates_chroma_shape():
     with pytest.raises(ValueError):
-        Frame(y=np.zeros((16, 16), np.uint8), u=np.zeros((4, 4), np.uint8),
-              v=np.zeros((8, 8), np.uint8))
+        # 4x4 chroma planes where 16x16 luma needs 8x8
+        Frame(y=np.zeros((16, 16), np.uint8), uv=np.zeros((2, 4, 4), np.uint8))
 
 
 def test_frame_planes_read_only():

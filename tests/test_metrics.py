@@ -28,8 +28,9 @@ def _curve(pairs):
 
 def _gray_seq(w, h, n, value=128):
     f = [Frame(y=np.full((h, w), value, np.uint8),
-               u=np.full((h // 2, w // 2), 128, np.uint8),
-               v=np.full((h // 2, w // 2), 128, np.uint8), frame_index=i)
+               uv=np.stack((np.full((h // 2, w // 2), 128, np.uint8),
+                            np.full((h // 2, w // 2), 128, np.uint8))),
+               frame_index=i)
          for i in range(n)]
     return Sequence(frames=tuple(f))
 
@@ -87,7 +88,7 @@ def test_psnr_ignores_texture_cells():
     a = random_sequence(32, 32, 1, seed=1)
     y = a[0].y.copy()
     y[:16, :16] = 255 - y[:16, :16]  # wreck only cell (0, 0)
-    b = Sequence(frames=(Frame(y=y, u=a[0].u, v=a[0].v),))
+    b = Sequence(frames=(Frame(y=y, uv=np.stack((a[0].u, a[0].v))),))
     labels = np.full((2, 2), NON_TEXTURE, np.uint8)
     labels[0, 0] = TEXTURE
     mask = TextureMask(labels=labels, probs=labels.astype(np.float32))

@@ -19,8 +19,9 @@ from texcodec.sequences import _noise_texture
 def _texture_frame(w, h, seed=0, index=0):
     rng = np.random.default_rng(seed)
     return Frame(y=_noise_texture(rng, h, w, sigma=0.8),
-                 u=_noise_texture(rng, h // 2, w // 2, sigma=1.0, contrast=20),
-                 v=_noise_texture(rng, h // 2, w // 2, sigma=1.0, contrast=20),
+                 uv=np.stack((
+                     _noise_texture(rng, h // 2, w // 2, sigma=1.0, contrast=20),
+                     _noise_texture(rng, h // 2, w // 2, sigma=1.0, contrast=20))),
                  frame_index=index)
 
 
@@ -63,8 +64,8 @@ def test_warp_identity_bit_exact():
 
 def test_warp_translation_on_ramp():
     y = np.tile(np.arange(32, dtype=np.uint8), (16, 1))
-    f = Frame(y=y, u=np.full((8, 16), 128, np.uint8),
-              v=np.full((8, 16), 128, np.uint8))
+    f = Frame(y=y, uv=np.stack((np.full((8, 16), 128, np.uint8),
+                                np.full((8, 16), 128, np.uint8))))
     w = warp_frame(f, AffineMotion.translation(1, 0))
     expected = np.minimum(np.arange(32) + 1, 31).astype(np.uint8)
     assert np.array_equal(w.y, np.tile(expected, (16, 1)))
@@ -72,8 +73,8 @@ def test_warp_translation_on_ramp():
 
 def test_warp_half_pixel_on_ramp():
     y = np.tile(np.arange(0, 64, 2, dtype=np.uint8), (16, 1))  # Y[x] = 2x
-    f = Frame(y=y, u=np.full((8, 16), 128, np.uint8),
-              v=np.full((8, 16), 128, np.uint8))
+    f = Frame(y=y, uv=np.stack((np.full((8, 16), 128, np.uint8),
+                                np.full((8, 16), 128, np.uint8))))
     w = warp_frame(f, AffineMotion.translation(0.5, 0))
     # bilinear closed form: value 2x + 1 exactly (last column clamps)
     expected = np.minimum(2 * np.arange(32) + 1, 62).astype(np.uint8)
@@ -128,8 +129,8 @@ def test_warp_frame_scratch_memory_is_bounded():
     # 1024x1024 planes are 1.5 MB; warping them whole took over 120 MB
     rng = np.random.default_rng(4)
     f = Frame(y=rng.integers(0, 256, (1024, 1024), dtype=np.uint8),
-              u=rng.integers(0, 256, (512, 512), dtype=np.uint8),
-              v=rng.integers(0, 256, (512, 512), dtype=np.uint8))
+              uv=np.stack((rng.integers(0, 256, (512, 512), dtype=np.uint8),
+                           rng.integers(0, 256, (512, 512), dtype=np.uint8))))
     tracemalloc.start()
     try:
         warp_frame(f, _WARP_MODELS[0])
@@ -231,12 +232,12 @@ def test_estimate_integer_shift():
     canvas = _noise_texture(rng, 120, 160, sigma=0.8)
     dx, dy = 3, 5
     ref = Frame(y=canvas[:96, :128],
-                u=np.full((48, 64), 128, np.uint8),
-                v=np.full((48, 64), 128, np.uint8))
+                uv=np.stack((np.full((48, 64), 128, np.uint8),
+                             np.full((48, 64), 128, np.uint8))))
     # cur(x, y) = ref(x + dx, y + dy): content shifted up-left
     cur = Frame(y=canvas[dy:96 + dy, dx:128 + dx],
-                u=np.full((48, 64), 128, np.uint8),
-                v=np.full((48, 64), 128, np.uint8))
+                uv=np.stack((np.full((48, 64), 128, np.uint8),
+                             np.full((48, 64), 128, np.uint8))))
     mask = _interior_mask(6, 8)
     m, stats = estimate_texture_motion(cur, ref, mask, MotionModelKind.ROTZOOM)
     assert abs(m.tx - dx) <= 0.5 and abs(m.ty - dy) <= 0.5
