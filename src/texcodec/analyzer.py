@@ -132,9 +132,7 @@ def train_classifier(dataset: PatchDataset, cfg: TrainConfig,
     val_idx, train_idx = order[:n_val], order[n_val:]
     x_all = preprocess_patches(dataset.patches)
     y_all = dataset.labels
-    weights = (np.asarray(cfg.class_weights, np.float64)
-               if cfg.class_weights is not None
-               else np.asarray(inverse_frequency_weights(y_all[train_idx])))
+    weights = np.asarray(inverse_frequency_weights(y_all[train_idx]))
 
     opt = SGD(net, cfg)
     log = []

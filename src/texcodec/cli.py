@@ -12,8 +12,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import FORMAT_VERSIONS, __version__
 from .analyzer import (TrainingError, clean_mask, load_mask, mask_filename,
                        save_mask, segment_frame, train_classifier)
@@ -23,8 +21,7 @@ from .datasets import DatasetConfig, PatchDataset, synthesize_dataset
 from .frames import Y4MError, read_y4m, read_yuv, write_y4m
 from .metrics import (MetricsError, bd_psnr, bd_rate, curve_from_json,
                       format_report, rd_sweep)
-from .motion import (EstimationConfig, MotionError, MotionModelKind,
-                     estimate_texture_motion)
+from .motion import MotionError, MotionModelKind, estimate_texture_motion
 from .nnet import (Net, NetSpec, TrainConfig, WeightsError, load_params,
                    save_params)
 
@@ -122,8 +119,7 @@ def _cmd_motion(args) -> int:
     ref = _load_sequence(args.ref, args.size, None)[0]
     mask = load_mask(args.mask)
     kind = MotionModelKind(args.model)
-    m, stats = estimate_texture_motion(
-        cur, ref, mask, kind, EstimationConfig(rng_seed=args.seed))
+    m, stats = estimate_texture_motion(cur, ref, mask, kind, args.seed)
     print(" ".join(f"{v:.6f}" for v in m.as_tuple()))
     if args.verbose:
         print(f"cells {stats.n_cells}  inliers {stats.n_inliers} "

@@ -24,9 +24,9 @@ from .bitio import (BitReader, BitstreamError, BitWriter, se_to_ue, ue_bits,
                     ue_lengths, ue_to_se)
 from .datasets import TEXTURE as TEXTURE_LABEL
 from .frames import BLOCK, BlockRect, Frame, Sequence, crop_frame, pad16, pad_frame
-from .motion import (AffineMotion, EstimationConfig, MotionError,
-                     MotionModelKind, diamond_search, estimate_texture_motion,
-                     warp_frame, warp_rect)
+from .motion import (AffineMotion, MotionError, MotionModelKind,
+                     diamond_search, estimate_texture_motion, warp_frame,
+                     warp_rect)
 from .transform import reconstruct_residual, scan, transform_quantize, unscan
 
 MAGIC = b"TXC1"
@@ -63,7 +63,6 @@ class EncoderConfig:
     gf_group_size: int = 8
     texture_mode: bool = True
     model_kind: MotionModelKind = MotionModelKind.ROTZOOM
-    search_range: int = 32
     motion_seed: int = 1234
 
     def __post_init__(self):
@@ -477,8 +476,8 @@ class _RowTables:
     """What the RD search of one row of superblocks takes from tables: the
     nodes it evaluates, and their GLOBAL_WARP and INTER_MV leaves.  Those
     read neither the working planes nor each other, so they are coded up
-    front: per node size, that size's diamond searches, then one
-    `_code_leaves` stack per mode."""
+    front: per node size, one lockstep diamond search of that size's
+    nodes, then one `_code_leaves` stack per mode."""
 
     def __init__(self, ctx: _FrameCtx, row: list, cfg: EncoderConfig,
                  cur_mask, ref_mask):
@@ -493,9 +492,11 @@ class _RowTables:
         for size in sorted({rect.size for rect in nodes}):
             rects = [rect for rect in nodes if rect.size == size]
             warps = [_Leaf(mode=BlockMode.GLOBAL_WARP) for _ in rects]
-            mvs = [_Leaf(mode=BlockMode.INTER_MV, mv=diamond_search(
-                _block(ctx.orig, "y", rect)[0], ctx.prev_recon["y"][0],
-                rect.x, rect.y, cfg.search_range)[:2]) for rect in rects]
+            mvs = [_Leaf(mode=BlockMode.INTER_MV, mv=tuple(mv))
+                   for mv in diamond_search(
+                       ctx.orig["y"][0], ctx.prev_recon["y"][0],
+                       [rect.x for rect in rects], [rect.y for rect in rects],
+                       size).tolist()]
             self.inter.update(zip(rects, zip(
                 zip(warps, *_code_leaves(ctx, warps, rects)),
                 zip(mvs, *_code_leaves(ctx, mvs, rects)))))
@@ -566,8 +567,6 @@ def _estimate_frame_motion(cur: Frame, key_recon: Frame, cur_mask, cfg):
     the model is fitted on the whole frame so GLOBAL_WARP stays
     available."""
     gh, gw = cur.height // BLOCK, cur.width // BLOCK
-    est_cfg = EstimationConfig(search_range=cfg.search_range,
-                               rng_seed=cfg.motion_seed)
     masks = []
     if cfg.texture_mode and cur_mask is not None \
             and np.any(cur_mask.labels == TEXTURE_LABEL):
@@ -576,7 +575,7 @@ def _estimate_frame_motion(cur: Frame, key_recon: Frame, cur_mask, cfg):
     for mask in masks:
         try:
             m, _ = estimate_texture_motion(cur, key_recon, mask,
-                                           cfg.model_kind, est_cfg)
+                                           cfg.model_kind, cfg.motion_seed)
             return _q16(m)
         except MotionError:
             continue

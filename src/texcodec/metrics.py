@@ -12,7 +12,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analyzer import TextureMask
 from .codec import EncoderConfig, _encode, decode_sequence
 from .datasets import NON_TEXTURE
 from .frames import BLOCK, Sequence, pad_frame
@@ -30,8 +29,8 @@ class RDPoint:
     psnr: float  # dB, non-texture-region PSNR
 
     def __post_init__(self):
-        if self.rate <= 0:
-            raise MetricsError("rate must be positive")
+        if not 0 < self.rate < np.inf:  # NaN fails both
+            raise MetricsError("rate must be positive and finite")
         if not np.isfinite(self.psnr):
             raise MetricsError("psnr must be finite")
 

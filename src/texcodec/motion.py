@@ -3,19 +3,21 @@
 An AffineMotion maps current-frame luma coordinates into the reference
 frame: (x', y') = (a11*x + a12*y + tx, a21*x + a22*y + ty).  Estimation
 collects one translational correspondence per texture cell by diamond-search
-block matching (SAD on 16x16 luma, range +-32) with parabolic sub-pixel
-refinement, then fits the requested model with RANSAC and a least-squares
-refit on the inliers.  Synthesis warps the reference with bilinear
-interpolation, clamping out-of-bounds samples to the frame edge.
+block matching (SAD on 16x16 luma, range +-SEARCH_RANGE, all cells searched
+in lockstep) with parabolic sub-pixel refinement, then fits the requested
+model with RANSAC and a least-squares refit on the inliers.  Synthesis
+warps the reference with bilinear interpolation, clamping out-of-bounds
+samples to the frame edge.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .analyzer import TextureMask
 from .datasets import TEXTURE
@@ -24,6 +26,7 @@ from .frames import BLOCK, Frame
 DET_MIN, DET_MAX = 0.25, 4.0
 RANSAC_THRESHOLD = 1.5  # px: a correspondence within it is an inlier
 RANSAC_ITERATIONS = 200
+SEARCH_RANGE = 32  # px: the largest |dx| or |dy| a block search reaches
 
 
 class MotionError(ValueError):
@@ -73,12 +76,6 @@ class AffineMotion:
 
 
 @dataclass
-class EstimationConfig:
-    search_range: int = 32
-    rng_seed: int = 1234
-
-
-@dataclass
 class MotionStats:
     n_cells: int = 0
     n_inliers: int = 0
@@ -94,85 +91,73 @@ class MotionStats:
 # block matching
 
 
-def _sad(a: np.ndarray, b: np.ndarray) -> int:
-    return int(np.abs(a.astype(np.int32) - b.astype(np.int32)).sum())
+_FAR = np.iinfo(np.int64).max  # the score of a displacement out of reach
+_LARGE_DIAMOND = np.array(((0, 0), (2, 0), (-2, 0), (0, 2), (0, -2),
+                           (1, 1), (1, -1), (-1, 1), (-1, -1)))
+_SMALL_DIAMOND = np.array(((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)))
 
 
-_LARGE_DIAMOND = ((0, 0), (2, 0), (-2, 0), (0, 2), (0, -2),
-                  (1, 1), (1, -1), (-1, 1), (-1, -1))
-_SMALL_DIAMOND = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))
+def _sads(blocks, windows, xs, ys, d) -> np.ndarray:
+    """SAD of each block against its (n, k) reference windows displaced by
+    the (n, k, 2) array `d`; _FAR where a displacement leaves ±SEARCH_RANGE
+    or the reference plane."""
+    x, y = xs[:, None] + d[..., 0], ys[:, None] + d[..., 1]
+    ok = ((np.abs(d).max(axis=-1) <= SEARCH_RANGE) & (x >= 0) & (y >= 0)
+          & (x < windows.shape[1]) & (y < windows.shape[0]))
+    ref = windows[np.where(ok, y, 0), np.where(ok, x, 0)].astype(np.int16)
+    return np.where(ok, np.abs(ref - blocks[:, None]).sum(axis=(-2, -1)), _FAR)
 
 
-def diamond_search(cur_block: np.ndarray, ref_y: np.ndarray, x0: int, y0: int,
-                   search_range: int = 32,
-                   start: tuple[int, int] = (0, 0)) -> tuple[int, int, dict]:
-    """Find the integer displacement minimizing SAD around (x0, y0).
-
-    Classic large/small diamond pattern, displacement bounded to
-    +-search_range and to positions fully inside the reference plane; the
-    walk begins at the better of (0, 0) and `start` (a motion predictor).
-    Returns (dx, dy, sad_cache) where sad_cache maps displacement -> SAD.
-    """
-    s = cur_block.shape[0]
-    h, w = ref_y.shape
-    cache: dict[tuple[int, int], int] = {}
-
-    def cost(dx, dy):
-        if max(abs(dx), abs(dy)) > search_range:
-            return None
-        x, y = x0 + dx, y0 + dy
-        if x < 0 or y < 0 or x + s > w or y + s > h:
-            return None
-        key = (dx, dy)
-        if key not in cache:
-            cache[key] = _sad(cur_block, ref_y[y:y + s, x:x + s])
-        return cache[key]
-
-    best = (0, 0)
-    best_cost = cost(0, 0)
-    if best_cost is None:
+def _search_arrays(cur_y, ref_y, xs, ys, size):
+    """The blocks at (xs, ys) as int16, the reference's windows, xs, ys."""
+    xs, ys = np.asarray(xs, np.int64), np.asarray(ys, np.int64)
+    windows = sliding_window_view(ref_y, (size, size))
+    if np.any((xs < 0) | (ys < 0) | (xs >= windows.shape[1])
+              | (ys >= windows.shape[0])):
         raise MotionError("search origin outside reference frame")
-    if start != (0, 0):
-        c = cost(*start)
-        if c is not None and c < best_cost:
-            best_cost, best = c, start
-    # large diamond until the center wins
-    while True:
-        center = best
-        for dx, dy in _LARGE_DIAMOND[1:]:
-            c = cost(center[0] + dx, center[1] + dy)
-            if c is not None and c < best_cost:
-                best_cost, best = c, (center[0] + dx, center[1] + dy)
-        if best == center:
-            break
-    for dx, dy in _SMALL_DIAMOND[1:]:
-        c = cost(best[0] + dx, best[1] + dy)
-        if c is not None and c < best_cost:
-            best_cost, best = c, (best[0] + dx, best[1] + dy)
-    return best[0], best[1], cache
+    blocks = sliding_window_view(cur_y, (size, size))[ys, xs].astype(np.int16)
+    return blocks, windows, xs, ys
 
 
-def _parabolic_offset(sm, s0, sp) -> float:
-    denom = sm - 2.0 * s0 + sp
-    if denom <= 0:
-        return 0.0
-    return float(np.clip(0.5 * (sm - sp) / denom, -0.5, 0.5))
+def diamond_search(cur_y: np.ndarray, ref_y: np.ndarray, xs, ys, size: int,
+                   starts=None) -> np.ndarray:
+    """The integer displacement (dx, dy) of least SAD of each size x size
+    block of `cur_y` at (xs[i], ys[i]) in `ref_y`, as an (n, 2) int64 array.
+
+    All blocks walk the classic large/small diamond pattern in lockstep,
+    bounded to ±SEARCH_RANGE and to positions fully inside `ref_y`.  Block
+    i begins at the better of (0, 0) and starts[i] (a motion predictor);
+    the large diamond moves until its centre wins, then the small diamond
+    takes four steps from the moving best.  A tie keeps the earlier
+    candidate.
+    """
+    blocks, windows, xs, ys = _search_arrays(cur_y, ref_y, xs, ys, size)
+    rows = np.arange(len(xs))
+    cand = np.zeros((len(xs), 2, 2), np.int64)
+    if starts is not None:
+        cand[:, 1] = starts
+    cost = _sads(blocks, windows, xs, ys, cand)
+    pick = cost.argmin(axis=1)
+    best, cost = cand[rows, pick], cost[rows, pick]
+    active = rows
+    while len(active):
+        ring = best[active, None] + _LARGE_DIAMOND
+        c = _sads(blocks[active], windows, xs[active], ys[active], ring[:, 1:])
+        c = np.concatenate((cost[active, None], c), axis=1)
+        pick = c.argmin(axis=1)
+        k = np.arange(len(active))
+        best[active], cost[active] = ring[k, pick], c[k, pick]
+        active = active[pick > 0]
+    for step in _SMALL_DIAMOND[1:]:
+        c = _sads(blocks, windows, xs, ys, (best + step)[:, None])[:, 0]
+        better = c < cost
+        best[better] += step
+        cost[better] = c[better]
+    return best
 
 
-def _subpel(dx, dy, cache):
-    """Refine an integer displacement with a 3-point parabola per axis."""
-    fx = fy = 0.0
-    if (dx - 1, dy) in cache and (dx + 1, dy) in cache:
-        fx = _parabolic_offset(cache[(dx - 1, dy)], cache[(dx, dy)],
-                               cache[(dx + 1, dy)])
-    if (dx, dy - 1) in cache and (dx, dy + 1) in cache:
-        fy = _parabolic_offset(cache[(dx, dy - 1)], cache[(dx, dy)],
-                               cache[(dx, dy + 1)])
-    return dx + fx, dy + fy
-
-
-def coarse_translation(cur: Frame, ref: Frame, cur_mask: TextureMask,
-                       search_range: int = 32) -> tuple[int, int]:
+def coarse_translation(cur: Frame, ref: Frame,
+                       cur_mask: TextureMask) -> tuple[int, int]:
     """Full-search translation of the texture region at quarter resolution;
     used to seed the per-cell diamond searches."""
     f = 4
@@ -189,7 +174,7 @@ def coarse_translation(cur: Frame, ref: Frame, cur_mask: TextureMask,
                   np.ones((BLOCK // f, BLOCK // f), dtype=bool))[:h4, :w4]
     if not sel.any():
         return (0, 0)
-    r = max(search_range // f, 1)
+    r = max(SEARCH_RANGE // f, 1)
     best, best_cost = (0, 0), None
     for dy in range(-r, r + 1):
         for dx in range(-r, r + 1):
@@ -209,31 +194,26 @@ def coarse_translation(cur: Frame, ref: Frame, cur_mask: TextureMask,
 
 
 def collect_correspondences(cur: Frame, ref: Frame, cur_mask: TextureMask,
-                            config: EstimationConfig, predictor=None):
-    """One (src, dst) point pair per texture cell, in cell raster order.
-    `predictor(x, y) -> (dx, dy)` seeds the search at each cell center."""
-    src, dst = [], []
-    for gy in range(cur_mask.grid_h):
-        for gx in range(cur_mask.grid_w):
-            if cur_mask.labels[gy, gx] != TEXTURE:
-                continue
-            x0, y0 = gx * BLOCK, gy * BLOCK
-            block = cur.y[y0:y0 + BLOCK, x0:x0 + BLOCK]
-            start = (0, 0) if predictor is None else predictor(x0, y0)
-            dx, dy, cache = diamond_search(block, ref.y, x0, y0,
-                                           config.search_range, start=start)
-            # refine the neighborhood needed by the parabola
-            for nb in ((dx - 1, dy), (dx + 1, dy), (dx, dy - 1), (dx, dy + 1)):
-                x, y = x0 + nb[0], y0 + nb[1]
-                if (nb not in cache and max(abs(nb[0]), abs(nb[1])) <= config.search_range
-                        and 0 <= x and 0 <= y
-                        and x + BLOCK <= ref.width and y + BLOCK <= ref.height):
-                    cache[nb] = _sad(block, ref.y[y:y + BLOCK, x:x + BLOCK])
-            fdx, fdy = _subpel(dx, dy, cache)
-            cx, cy = x0 + (BLOCK - 1) / 2.0, y0 + (BLOCK - 1) / 2.0
-            src.append((cx, cy))
-            dst.append((cx + fdx, cy + fdy))
-    return np.asarray(src, dtype=np.float64), np.asarray(dst, dtype=np.float64)
+                            starts) -> tuple[np.ndarray, np.ndarray]:
+    """One (src, dst) point pair per texture cell, in cell raster order: the
+    cell centre, and the centre moved by the cell's diamond-search match
+    (begun at starts[i]) refined by a 3-point SAD parabola per axis."""
+    gy, gx = np.nonzero(cur_mask.labels == TEXTURE)
+    xs, ys = gx * BLOCK, gy * BLOCK
+    d = diamond_search(cur.y, ref.y, xs, ys, BLOCK, starts)
+    # SADs at the match and at its +x, -x, +y and -y neighbours
+    s = _sads(*_search_arrays(cur.y, ref.y, xs, ys, BLOCK),
+              d[:, None] + _SMALL_DIAMOND)
+    src = np.column_stack((xs, ys)) + (BLOCK - 1) / 2.0
+    dst = src.copy()
+    for axis in (0, 1):
+        sp, s0, sm = s[:, 1 + 2 * axis], s[:, 0], s[:, 2 + 2 * axis]
+        denom = np.where((sm < _FAR) & (sp < _FAR), sm - 2.0 * s0 + sp, 0.0)
+        ok = denom > 0
+        frac = np.zeros(len(d))
+        frac[ok] = np.clip(0.5 * (sm[ok] - sp[ok]) / denom[ok], -0.5, 0.5)
+        dst[:, axis] += d[:, axis] + frac
+    return src, dst
 
 
 # ---------------------------------------------------------------------------
@@ -285,13 +265,13 @@ def _residuals(m: AffineMotion, src, dst) -> np.ndarray:
 
 
 def fit_motion_ransac(src, dst, kind: MotionModelKind,
-                      config: EstimationConfig) -> tuple[AffineMotion, np.ndarray]:
+                      seed: int) -> tuple[AffineMotion, np.ndarray]:
     """RANSAC + least-squares refit; returns (model, inlier bool mask)."""
     fitter, min_pts = _FITTERS[kind]
     n = len(src)
     if n < min_pts:
         raise MotionError(f"{kind.value} fit needs >= {min_pts} points, got {n}")
-    rng = np.random.default_rng(config.rng_seed)
+    rng = np.random.default_rng(seed)
     best_inliers = None
     best_count = -1
     for _ in range(RANSAC_ITERATIONS):
@@ -316,13 +296,11 @@ def fit_motion_ransac(src, dst, kind: MotionModelKind,
 
 def estimate_texture_motion(cur: Frame, ref: Frame, cur_mask: TextureMask,
                             kind: MotionModelKind = MotionModelKind.ROTZOOM,
-                            config: EstimationConfig | None = None,
+                            seed: int = 1234,
                             ) -> tuple[AffineMotion, MotionStats]:
     """Fit the texture motion of `cur` relative to `ref` using only the
     texture cells of `cur_mask`.  Falls back to TRANSLATION when there are
     fewer than 6 texture cells or the fit is degenerate."""
-    if config is None:
-        config = EstimationConfig()
     n_cells = int(np.sum(cur_mask.labels == TEXTURE))
     if n_cells < 1:
         raise MotionError("no texture region")
@@ -331,27 +309,22 @@ def estimate_texture_motion(cur: Frame, ref: Frame, cur_mask: TextureMask,
         kind = MotionModelKind.TRANSLATION
         stats.fallback_translation = True
 
-    seed = coarse_translation(cur, ref, cur_mask, config.search_range)
-    src, dst = collect_correspondences(cur, ref, cur_mask, config,
-                                       predictor=lambda x, y: seed)
-    model, inliers = fit_motion_ransac(src, dst, kind, config)
+    starts = np.tile(coarse_translation(cur, ref, cur_mask), (n_cells, 1))
+    src, dst = collect_correspondences(cur, ref, cur_mask, starts)
+    model, inliers = fit_motion_ransac(src, dst, kind, seed)
 
     # second pass: re-search each cell around the fitted model's prediction,
     # which handles displacement fields that vary across the frame
-    def model_predictor(x, y):
-        cx, cy = x + (BLOCK - 1) / 2.0, y + (BLOCK - 1) / 2.0
-        px, py = model.apply(cx, cy)
-        return int(round(px - cx)), int(round(py - cy))
-
-    src2, dst2 = collect_correspondences(cur, ref, cur_mask, config,
-                                         predictor=model_predictor)
-    model2, inliers2 = fit_motion_ransac(src2, dst2, kind, config)
+    starts = np.rint(np.column_stack(model.apply(src[:, 0], src[:, 1]))
+                     - src).astype(np.int64)
+    src2, dst2 = collect_correspondences(cur, ref, cur_mask, starts)
+    model2, inliers2 = fit_motion_ransac(src2, dst2, kind, seed)
     if inliers2.sum() >= inliers.sum():
         model, inliers, src, dst = model2, inliers2, src2, dst2
 
     if not (DET_MIN <= abs(model.det) <= DET_MAX):
         model, inliers = fit_motion_ransac(src, dst,
-                                           MotionModelKind.TRANSLATION, config)
+                                           MotionModelKind.TRANSLATION, seed)
         stats.fallback_translation = True
     stats.n_inliers = int(inliers.sum())
     stats.inlier_fraction = stats.n_inliers / max(len(src), 1)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -407,7 +407,6 @@ class TrainConfig:
     weight_decay: float = 0.0005
     batch_size: int = 512
     epochs: int = 100
-    class_weights: tuple[float, float] | None = None  # None: inverse frequency
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -415,8 +414,6 @@ class TrainConfig:
             raise ValueError("learning_rate and batch_size must be positive")
         if self.momentum < 0 or self.weight_decay < 0 or self.epochs < 0:
             raise ValueError("momentum/weight_decay/epochs must be >= 0")
-        if self.class_weights is not None and len(self.class_weights) != 2:
-            raise ValueError("class_weights must have length 2")
 
 
 class SGD:

@@ -102,11 +102,14 @@ def test_segment_bad_weights_exits_one(workdir, tmp_path):
                      "--out-dir", str(tmp_path / "m")]) == 1
 
 
-@pytest.mark.parametrize("curve", [{"a": 1}, [{"rate": 1}]],
-                         ids=["object", "no-psnr"])
+@pytest.mark.parametrize("curve", [
+    {"a": 1}, [{"rate": 1}],
+    [{"rate": float("nan"), "psnr": 30}] + [{"rate": r, "psnr": 30 + r}
+                                            for r in (2, 3, 4)]],
+    ids=["object", "no-psnr", "nan-rate"])
 def test_bd_bad_curve_file_exits_one(tmp_path, capsys, curve):
     bad = tmp_path / "curve.json"
-    bad.write_text(json.dumps(curve))
+    bad.write_text(json.dumps(curve))  # writes a NaN rate as NaN
     assert main(["bd", "--baseline", str(bad), "--test", str(bad)]) == 1
     assert "error:" in capsys.readouterr().err
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from crafted_streams import huge_level_tu, single_tu_stream
+from search_oracle import diamond_search
 from texture_oracle import is_texture_block_oracle
 from texcodec.analyzer import TextureMask, all_texture_mask
 from texcodec.bitio import BitReader, BitstreamError, BitWriter, se_to_ue
@@ -23,7 +24,7 @@ from texcodec.codec import (_TU, INTER_FRAME, KEY_FRAME, MAGIC, MAX_LEVEL,
                             is_texture_block)
 from texcodec.datasets import NON_TEXTURE, TEXTURE
 from texcodec.frames import BLOCK, BlockRect, Frame, Sequence, pad16, pad_frame
-from texcodec.motion import AffineMotion, MotionModelKind, diamond_search
+from texcodec.motion import AffineMotion, MotionModelKind
 from texcodec.sequences import _noise_texture, panning_texture_sequence, random_sequence
 from texcodec.transform import transform_quantize
 
@@ -382,7 +383,6 @@ def test_shared_key_frames_match_separate_encodes():
     for other in (EncoderConfig(q_level=16, gf_group_size=4),
                   EncoderConfig(gf_group_size=8),
                   EncoderConfig(gf_group_size=4, motion_seed=1),
-                  EncoderConfig(gf_group_size=4, search_range=8),
                   EncoderConfig(gf_group_size=4,
                                 model_kind=MotionModelKind.AFFINE)):
         with pytest.raises(ValueError, match="differ only in texture_mode"):
@@ -422,7 +422,7 @@ def _restore(ctx, rect, snap):
         a[y:y + s, x:x + s] = snap[plane]
 
 
-def _reference_leaf(ctx, mode, rect, search_range):
+def _reference_leaf(ctx, mode, rect):
     """A GLOBAL_WARP, INTER_MV or INTRA_DC leaf built at one node alone,
     one plane at a time: its MV, levels and reconstruction (the working
     planes are left as they are), its bits without the split flag, and its
@@ -432,7 +432,7 @@ def _reference_leaf(ctx, mode, rect, search_range):
     if mode == BlockMode.INTER_MV:
         block = orig["y"][rect.y:rect.y + rect.size, rect.x:rect.x + rect.size]
         dx, dy, _ = diamond_search(block, _yuv(ctx.prev_recon)["y"], rect.x,
-                                   rect.y, search_range)
+                                   rect.y)
         leaf.mv = (dx, dy)
     for array, planes in (("y", ("y",)), ("uv", ("u", "v"))):
         pred = _prediction(ctx, leaf, rect, array)
@@ -455,7 +455,7 @@ def _greedy_leaf(ctx, cfg, rect):
     best = None
     for mode in (BlockMode.GLOBAL_WARP, BlockMode.INTER_MV,
                  BlockMode.INTRA_DC):
-        leaf, bits, dist = _reference_leaf(ctx, mode, rect, cfg.search_range)
+        leaf, bits, dist = _reference_leaf(ctx, mode, rect)
         bits += rect.size > MIN_BLOCK  # the split flag
         cost = dist + ctx.rd_lambda * bits
         if best is None or cost < best[0]:
@@ -611,7 +611,7 @@ def test_rd_tables_match_per_node_reference():
                     for (leaf, bits, dist), mode in zip(
                             got, (BlockMode.GLOBAL_WARP, BlockMode.INTER_MV)):
                         ref, ref_bits, ref_dist = _reference_leaf(
-                            ctx, mode, rect, cfg.search_range)
+                            ctx, mode, rect)
                         assert (leaf.mode, leaf.mv, bits, dist) == (
                             ref.mode, ref.mv, ref_bits, ref_dist)
                         for plane in ("y", "uv"):

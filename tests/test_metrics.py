@@ -49,6 +49,9 @@ def test_rd_point_and_curve_validation():
         RDPoint(0.0, 30.0)
     with pytest.raises(MetricsError):
         RDPoint(100.0, float("nan"))
+    for rate in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(MetricsError, match="rate must be"):
+            RDPoint(rate, 30.0)
     with pytest.raises(MetricsError, match="4 points"):
         _curve([(1, 30), (2, 31), (3, 32)])
     with pytest.raises(MetricsError, match="strictly increasing"):

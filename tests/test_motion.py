@@ -6,13 +6,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import search_oracle
 from texcodec.analyzer import TextureMask, all_texture_mask
 from texcodec.datasets import NON_TEXTURE, TEXTURE
 from texcodec.frames import BlockRect, Frame
-from texcodec.motion import (AffineMotion, EstimationConfig, MotionError,
+from texcodec.motion import (SEARCH_RANGE, AffineMotion, MotionError,
                              MotionModelKind, bilinear_sample, chroma_motion,
-                             diamond_search, estimate_texture_motion,
-                             fit_motion_ransac, warp_frame, warp_rect)
+                             collect_correspondences, diamond_search,
+                             estimate_texture_motion, fit_motion_ransac,
+                             warp_frame, warp_rect)
 from texcodec.sequences import _noise_texture
 
 
@@ -162,14 +164,19 @@ def test_warp_rect_corners():
 # block matching and fitting
 
 
+def _cur_with_block(ref, dx, dy):
+    """A plane whose 16x16 block at (32, 32) is ref's block at
+    (32 + dx, 32 + dy)."""
+    cur = np.zeros_like(ref)
+    cur[32:48, 32:48] = ref[32 + dy:48 + dy, 32 + dx:48 + dx]
+    return cur
+
+
 def test_diamond_search_recovers_small_shift():
     rng = np.random.default_rng(3)
     ref = _noise_texture(rng, 96, 96, sigma=0.8)
-    dx, dy = 2, -1
-    block = ref[32 + dy:48 + dy, 32 + dx:48 + dx]
-    fx, fy, cache = diamond_search(block, ref, 32, 32, search_range=16)
-    assert (fx, fy) == (dx, dy)
-    assert cache[(dx, dy)] == 0
+    cur = _cur_with_block(ref, 2, -1)
+    assert diamond_search(cur, ref, [32], [32], 16).tolist() == [[2, -1]]
 
 
 def test_diamond_search_predictor_seed_escapes_local_minimum():
@@ -177,11 +184,73 @@ def test_diamond_search_predictor_seed_escapes_local_minimum():
     # estimator provides one from its coarse pass
     rng = np.random.default_rng(3)
     ref = _noise_texture(rng, 96, 96, sigma=0.8)
-    dx, dy = 7, -5
-    block = ref[32 + dy:48 + dy, 32 + dx:48 + dx]
-    fx, fy, _ = diamond_search(block, ref, 32, 32, search_range=16,
-                               start=(6, -4))
-    assert (fx, fy) == (dx, dy)
+    cur = _cur_with_block(ref, 7, -5)
+    got = diamond_search(cur, ref, [32], [32], 16, starts=[[6, -4]])
+    assert got.tolist() == [[7, -5]]
+
+
+def test_diamond_search_origin_outside_reference_raises():
+    ref = np.zeros((64, 64), np.uint8)
+    with pytest.raises(MotionError, match="origin outside"):
+        diamond_search(ref, ref, [0, 49], [0, 0], 16)
+
+
+def _search_planes(kind, rng, h, w):
+    """A (cur, ref) pair of luma planes: cur is ref moved by a few pixels
+    plus noise ("random"), the same on few grey levels so that many SADs
+    tie ("ties"), or two constant planes ("flat")."""
+    if kind == "flat":
+        return np.full((h, w), 90, np.uint8), np.full((h, w), 97, np.uint8)
+    canvas = _noise_texture(rng, h + 8, w + 8, sigma=1.5).astype(np.int64)
+    ref, cur = canvas[4:4 + h, 4:4 + w], canvas[1:1 + h, 7:7 + w]
+    if kind == "random":
+        cur = cur + rng.integers(-6, 7, cur.shape)
+        return (np.clip(cur, 0, 255).astype(np.uint8),
+                np.clip(ref, 0, 255).astype(np.uint8))
+    return (cur // 64 * 60).astype(np.uint8), (ref // 64 * 60).astype(np.uint8)
+
+
+@pytest.mark.parametrize("size", [16, 32, 64])
+@pytest.mark.parametrize("kind", ["random", "ties", "flat"])
+def test_diamond_search_matches_scalar_oracle(kind, size):
+    rng = np.random.default_rng(100 + size + len(kind))
+    h, w = 176, 208
+    cur, ref = _search_planes(kind, rng, h, w)
+    # the four corners and edges of the plane, then random positions
+    xs = [0, w - size, 0, w - size, 0, (w - size) // 2]
+    ys = [0, 0, h - size, h - size, (h - size) // 2, 0]
+    xs += rng.integers(0, w - size + 1, 34).tolist()
+    ys += rng.integers(0, h - size + 1, 34).tolist()
+    inside = rng.integers(-SEARCH_RANGE, SEARCH_RANGE + 1, (40, 2))
+    beyond = rng.choice([-1, 1], (40, 2)) * rng.integers(
+        SEARCH_RANGE - 2, SEARCH_RANGE + 9, (40, 2))
+    for starts in (None, inside, beyond):
+        got = diamond_search(cur, ref, xs, ys, size, starts)
+        want = [search_oracle.diamond_search(
+            cur[y:y + size, x:x + size], ref, x, y,
+            start=(0, 0) if starts is None else tuple(starts[i].tolist()))[:2]
+            for i, (x, y) in enumerate(zip(xs, ys))]
+        assert got.dtype == np.int64
+        assert got.tolist() == [list(d) for d in want]
+
+
+@pytest.mark.parametrize("w, h", [(352, 288), (128, 96), (200, 136)])
+def test_collect_correspondences_matches_scalar_oracle(w, h):
+    rng = np.random.default_rng(w + h)
+    ref = _texture_frame(w, h, seed=w)
+    cur = warp_frame(ref, AffineMotion(a11=1.01, a12=0.015, a21=-0.015,
+                                       a22=1.01, tx=-3.4, ty=2.6))
+    labels = np.where(rng.random((h // 16, w // 16)) < 0.2, NON_TEXTURE,
+                      TEXTURE).astype(np.uint8)
+    mask = TextureMask(labels=labels, probs=labels.astype(np.float32))
+    n = int(np.sum(mask.labels == TEXTURE))
+    for starts in (np.zeros((n, 2), np.int64),
+                   np.tile((-4, 4), (n, 1)),
+                   rng.integers(-SEARCH_RANGE - 6, SEARCH_RANGE + 7, (n, 2))):
+        got = collect_correspondences(cur, ref, mask, starts)
+        want = search_oracle.collect_correspondences(cur, ref, mask, starts)
+        for a, b in zip(got, want):
+            assert a.shape == (n, 2) and np.array_equal(a, b)
 
 
 def test_fit_exact_on_noiseless_correspondences():
@@ -191,7 +260,7 @@ def test_fit_exact_on_noiseless_correspondences():
     src = rng.uniform(0, 100, (30, 2))
     dst = np.column_stack(truth.apply(src[:, 0], src[:, 1]))
     for kind in (MotionModelKind.ROTZOOM, MotionModelKind.AFFINE):
-        m, inl = fit_motion_ransac(src, dst, kind, EstimationConfig())
+        m, inl = fit_motion_ransac(src, dst, kind, seed=1234)
         assert np.allclose(m.as_tuple(), truth.as_tuple(), atol=1e-9)
         assert inl.all()
 
@@ -203,7 +272,7 @@ def test_ransac_rejects_outliers():
     dst = np.column_stack(truth.apply(src[:, 0], src[:, 1]))
     dst[:8] += rng.uniform(10, 30, (8, 2))  # 20% gross outliers
     m, inl = fit_motion_ransac(src, dst, MotionModelKind.TRANSLATION,
-                               EstimationConfig())
+                               seed=1234)
     assert np.allclose((m.tx, m.ty), (5.0, -3.0), atol=1e-9)
     assert inl.sum() == 32
 
@@ -211,7 +280,7 @@ def test_ransac_rejects_outliers():
 def test_fit_needs_minimum_points():
     with pytest.raises(MotionError):
         fit_motion_ransac(np.zeros((2, 2)), np.zeros((2, 2)),
-                          MotionModelKind.AFFINE, EstimationConfig())
+                          MotionModelKind.AFFINE, seed=1234)
 
 
 # ---------------------------------------------------------------------------

@@ -311,8 +311,6 @@ def test_train_config_validation():
         TrainConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
         TrainConfig(momentum=-1)
-    with pytest.raises(ValueError):
-        TrainConfig(class_weights=(1.0,))
 
 
 # ---------------------------------------------------------------------------
