@@ -8,8 +8,3 @@ result with non-texture PSNR, bits/frame and Bjontegaard deltas.
 """
 
 __version__ = "0.1.0"
-
-FORMAT_VERSIONS = {
-    "bitstream": 1,   # "TXC1" files
-    "weights": 1,     # "TXNN" files
-}

@@ -12,18 +12,19 @@ import json
 import sys
 from pathlib import Path
 
-from . import FORMAT_VERSIONS, __version__
+from . import __version__
 from .analyzer import (TrainingError, clean_mask, load_mask, mask_filename,
                        save_mask, segment_frame, train_classifier)
-from .codec import (BitstreamError, EncoderConfig, decode_sequence,
+from .codec import (VERSION, BitstreamError, EncoderConfig, decode_sequence,
                     encode_sequence)
 from .datasets import DatasetConfig, PatchDataset, synthesize_dataset
 from .frames import Y4MError, read_y4m, read_yuv, write_y4m
-from .metrics import (MetricsError, bd_psnr, bd_rate, curve_from_json,
-                      format_report, rd_sweep)
+from .metrics import (DEFAULT_Q_LEVELS, MetricsError, bd_psnr, bd_rate,
+                      bits_per_frame, curve_from_json, format_report,
+                      rd_sweep)
 from .motion import MotionError, MotionModelKind, estimate_texture_motion
-from .nnet import (Net, NetSpec, TrainConfig, WeightsError, load_params,
-                   save_params)
+from .nnet import (WEIGHTS_VERSION, Net, NetSpec, TrainConfig, WeightsError,
+                   load_params, save_params)
 
 
 class UsageError(ValueError):
@@ -145,15 +146,16 @@ def _cmd_encode(args) -> int:
         masks = _load_masks(args.masks, Path(args.input).stem, len(seq))
     result = encode_sequence(seq, masks, cfg)
     Path(args.out).write_bytes(result.bitstream)
+    rate = bits_per_frame(result.bitstream, len(seq))
     if args.stats:
         stats = {
             "frames": [s.as_dict() for s in result.frame_stats],
             "total_bits": 8 * len(result.bitstream),
-            "bits_per_frame": 8 * len(result.bitstream) / len(seq),
+            "bits_per_frame": rate,
         }
         Path(args.stats).write_text(json.dumps(stats, indent=2, sort_keys=True))
     print(f"wrote {args.out}: {len(result.bitstream)} bytes, "
-          f"{8 * len(result.bitstream) / len(seq):.1f} bits/frame")
+          f"{rate:.1f} bits/frame")
     return 0
 
 
@@ -203,9 +205,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="texcodec",
         description="texture-analysis/synthesis video coding laboratory")
     p.add_argument("--version", action="version",
-                   version=f"texcodec {__version__} "
-                           f"(bitstream v{FORMAT_VERSIONS['bitstream']}, "
-                           f"weights v{FORMAT_VERSIONS['weights']})")
+                   version=f"texcodec {__version__} (bitstream v{VERSION}, "
+                           f"weights v{WEIGHTS_VERSION})")
+    # option defaults are the library's
+    enc, train, data = EncoderConfig(), TrainConfig(), DatasetConfig()
+    models = [k.value for k in MotionModelKind]
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
     size = argparse.ArgumentParser(add_help=False)
@@ -219,19 +223,19 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gen-data", parents=[common],
                        help="synthesize a training dataset")
     g.add_argument("--out", required=True)
-    g.add_argument("--textures", type=int, default=1740)
-    g.add_argument("--non-textures", type=int, default=36148)
+    g.add_argument("--textures", type=int, default=data.n_texture)
+    g.add_argument("--non-textures", type=int, default=data.n_non_texture)
     g.set_defaults(func=_cmd_gen_data)
 
     t = sub.add_parser("train", parents=[common],
                        help="train the block classifier")
     t.add_argument("--data", required=True)
     t.add_argument("--out", required=True)
-    t.add_argument("--epochs", type=int, default=100)
-    t.add_argument("--lr", type=float, default=0.01)
-    t.add_argument("--momentum", type=float, default=0.9)
-    t.add_argument("--weight-decay", type=float, default=0.0005)
-    t.add_argument("--batch", type=int, default=512)
+    t.add_argument("--epochs", type=int, default=train.epochs)
+    t.add_argument("--lr", type=float, default=train.learning_rate)
+    t.add_argument("--momentum", type=float, default=train.momentum)
+    t.add_argument("--weight-decay", type=float, default=train.weight_decay)
+    t.add_argument("--batch", type=int, default=train.batch_size)
     t.add_argument("--target-acc", type=float, default=None,
                    help="stop once balanced validation accuracy reaches this")
     t.set_defaults(func=_cmd_train)
@@ -250,8 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--cur", required=True)
     m.add_argument("--ref", required=True)
     m.add_argument("--mask", required=True)
-    m.add_argument("--model", default="rotzoom",
-                   choices=[k.value for k in MotionModelKind])
+    m.add_argument("--model", default=enc.model_kind.value, choices=models)
     m.add_argument("--verbose", action="store_true",
                    help="print the fit's inliers and residual to stderr")
     m.set_defaults(func=_cmd_motion)
@@ -260,11 +263,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="encode a sequence to a TXC1 bitstream")
     e.add_argument("--input", required=True)
     e.add_argument("--masks", default=None)
-    e.add_argument("--q", type=int, default=24)
-    e.add_argument("--gf", type=int, default=8)
+    e.add_argument("--q", type=int, default=enc.q_level)
+    e.add_argument("--gf", type=int, default=enc.gf_group_size)
     e.add_argument("--no-texture", action="store_true")
-    e.add_argument("--model", default="rotzoom",
-                   choices=[k.value for k in MotionModelKind])
+    e.add_argument("--model", default=enc.model_kind.value, choices=models)
     e.add_argument("--out", required=True)
     e.add_argument("--stats", default=None)
     e.set_defaults(func=_cmd_encode)
@@ -279,10 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--input", required=True)
     r.add_argument("--masks", required=True)
     r.add_argument("--out", required=True)
-    r.add_argument("--q", default="16,24,28,32")
-    r.add_argument("--gf", type=int, default=8)
-    r.add_argument("--model", default="rotzoom",
-                   choices=[k.value for k in MotionModelKind])
+    r.add_argument("--q", default=",".join(map(str, DEFAULT_Q_LEVELS)))
+    r.add_argument("--gf", type=int, default=enc.gf_group_size)
+    r.add_argument("--model", default=enc.model_kind.value, choices=models)
     r.set_defaults(func=_cmd_rd_sweep)
 
     b = sub.add_parser("bd", help="BD metrics from two RD curve JSON files")

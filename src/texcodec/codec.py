@@ -31,6 +31,16 @@ from .transform import reconstruct_residual, scan, transform_quantize, unscan
 
 MAGIC = b"TXC1"
 VERSION = 1
+# The TXC1 container layouts, little-endian; see docs/bitstream.md.  The
+# file header: magic, version, width, height, frame count, gf, model code
+_FILE_HEADER = struct.Struct("<4sBHHHBB")
+_FRAME_HEADER = struct.Struct("<BB")  # frame type, q_level
+_MOTION = struct.Struct("<6i")  # INTER only: Q16.16 a11 a12 a21 a22 tx ty
+_U32 = struct.Struct("<I")  # a payload length, and each CRC of the footer
+# the q_level and gf_group_size values a legal header holds
+Q_LEVELS = range(1, 64)
+GF_GROUP_SIZES = range(4, 17)
+MODE_BITS = 2  # the width of a leaf's mode code
 SUPERBLOCK = 64
 MIN_BLOCK = 16
 LUMA_TU = 16
@@ -50,6 +60,12 @@ _MODEL_FROM_CODE = {v: k for k, v in _MODEL_CODE.items()}
 KEY_FRAME, INTER_FRAME = 0, 1
 
 
+def _frame_type(i: int, gf_group_size: int) -> int:
+    """Frame i's type: each group of `gf_group_size` frames is led by a KEY
+    frame."""
+    return KEY_FRAME if i % gf_group_size == 0 else INTER_FRAME
+
+
 class BlockMode(IntEnum):
     INTRA_DC = 0
     INTER_MV = 1
@@ -66,10 +82,12 @@ class EncoderConfig:
     motion_seed: int = 1234
 
     def __post_init__(self):
-        if not 4 <= self.gf_group_size <= 16:
-            raise ValueError("gf_group_size must be in [4, 16]")
-        if not 1 <= self.q_level <= 63:
-            raise ValueError("q_level must be in [1, 63]")
+        if self.gf_group_size not in GF_GROUP_SIZES:
+            raise ValueError(f"gf_group_size must be in "
+                             f"[{GF_GROUP_SIZES[0]}, {GF_GROUP_SIZES[-1]}]")
+        if self.q_level not in Q_LEVELS:
+            raise ValueError(
+                f"q_level must be in [{Q_LEVELS[0]}, {Q_LEVELS[-1]}]")
 
     @property
     def q_step(self) -> int:
@@ -357,12 +375,12 @@ def _leaf_codes(leaf: _Leaf) -> np.ndarray:
 
 
 def _write_leaf(bw: BitWriter, leaf: _Leaf) -> None:
-    bw.write_bits(int(leaf.mode), 2)
+    bw.write_bits(int(leaf.mode), MODE_BITS)
     bw.write_ues(_leaf_codes(leaf))
 
 
 def _read_leaf(br: BitReader, ctx: _FrameCtx, rect: BlockRect) -> _Leaf:
-    mode = BlockMode(br.read_bits(2))
+    mode = BlockMode(br.read_bits(MODE_BITS))
     if ctx.frame_type == KEY_FRAME and mode != BlockMode.INTRA_DC:
         raise BitstreamError(f"mode {mode.name} invalid in KEY frame")
     leaf = _Leaf(mode=mode)
@@ -388,7 +406,7 @@ def _read_leaf(br: BitReader, ctx: _FrameCtx, rect: BlockRect) -> _Leaf:
 def _leaf_bits(leaf: _Leaf, with_flag: bool) -> int:
     """Bits `_write_leaf` writes for `leaf`, plus its split flag when
     `with_flag`, counted from the code lengths without writing them."""
-    return int(with_flag) + 2 + ue_bits(_leaf_codes(leaf))
+    return int(with_flag) + MODE_BITS + ue_bits(_leaf_codes(leaf))
 
 
 def _ssd(orig: np.ndarray, recon: np.ndarray) -> np.ndarray:
@@ -420,9 +438,10 @@ def _code_leaves(ctx: _FrameCtx, leaves: list, rects: list):
     """Code same-size leaves, whose modes and MVs are set, as one stack per
     TU size: fills in each leaf's levels and reconstruction, and returns
     the lists of their bits after the split flag and of their SSDs."""
-    bits = np.array([2 + (ue_bits(se_to_ue(np.array(leaf.mv, np.int64)))
-                          if leaf.mode == BlockMode.INTER_MV else 0)
-                     for leaf in leaves])
+    bits = np.array([
+        MODE_BITS + (ue_bits(se_to_ue(np.array(leaf.mv, np.int64)))
+                     if leaf.mode == BlockMode.INTER_MV else 0)
+        for leaf in leaves])
     dist = np.zeros(len(leaves), np.int64)
     for leaf in leaves:
         leaf.recon = {}
@@ -456,12 +475,12 @@ def _write_tree(bw: BitWriter, ctx: _FrameCtx, tree, rect: BlockRect,
 
 def _searched_nodes(ctx: _FrameCtx, rect: BlockRect, cfg: EncoderConfig,
                     cur_mask, ref_mask):
-    """The nodes under `rect` that the RD search evaluates, in search order:
-    the nodes wholly inside the frame with no texture-forced ancestor or
-    self.  Calls `is_texture_block` once per full node it reaches."""
+    """The nodes under `rect` that the RD search of an INTER frame
+    evaluates, in search order: the nodes wholly inside the frame with no
+    texture-forced ancestor or self.  Calls `is_texture_block` once per
+    full node it reaches."""
     if rect.size == MIN_BLOCK or _split_flag_coded(ctx, rect):
-        if (cfg.texture_mode and ctx.frame_type == INTER_FRAME
-                and cur_mask is not None
+        if (cfg.texture_mode and cur_mask is not None
                 and is_texture_block(rect, cur_mask, ref_mask, ctx.motion,
                                      ctx.pw, ctx.ph)):
             return
@@ -472,37 +491,34 @@ def _searched_nodes(ctx: _FrameCtx, rect: BlockRect, cfg: EncoderConfig,
         yield from _searched_nodes(ctx, child, cfg, cur_mask, ref_mask)
 
 
-class _RowTables:
-    """What the RD search of one row of superblocks takes from tables: the
-    nodes it evaluates, and their GLOBAL_WARP and INTER_MV leaves.  Those
-    read neither the working planes nor each other, so they are coded up
-    front: per node size, one lockstep diamond search of that size's
-    nodes, then one `_code_leaves` stack per mode."""
-
-    def __init__(self, ctx: _FrameCtx, row: list, cfg: EncoderConfig,
-                 cur_mask, ref_mask):
-        nodes = [node for sb in row
-                 for node in _searched_nodes(ctx, sb, cfg, cur_mask, ref_mask)]
-        self.searched = set(nodes)
-        # rect -> GLOBAL_WARP's and INTER_MV's (leaf, bits after the split
-        # flag, SSD); empty in a KEY frame
-        self.inter = {}
-        if ctx.frame_type == KEY_FRAME:
-            return
-        for size in sorted({rect.size for rect in nodes}):
-            rects = [rect for rect in nodes if rect.size == size]
-            warps = [_Leaf(mode=BlockMode.GLOBAL_WARP) for _ in rects]
-            mvs = [_Leaf(mode=BlockMode.INTER_MV, mv=tuple(mv))
-                   for mv in diamond_search(
-                       ctx.orig["y"][0], ctx.prev_recon["y"][0],
-                       [rect.x for rect in rects], [rect.y for rect in rects],
-                       size).tolist()]
-            self.inter.update(zip(rects, zip(
-                zip(warps, *_code_leaves(ctx, warps, rects)),
-                zip(mvs, *_code_leaves(ctx, mvs, rects)))))
+def _row_tables(ctx: _FrameCtx, row: list, cfg: EncoderConfig, cur_mask,
+                ref_mask) -> dict:
+    """The inter leaves the RD search of one row of superblocks takes from
+    a table: each node it evaluates -> its GLOBAL_WARP's and INTER_MV's
+    (leaf, bits after the split flag, SSD).  Those leaves read neither the
+    working planes nor each other, so they are coded up front: per node
+    size, one lockstep diamond search of that size's nodes, then one
+    `_code_leaves` stack per mode.  Empty in a KEY frame."""
+    tables = {}
+    if ctx.frame_type == KEY_FRAME:
+        return tables
+    nodes = [node for sb in row
+             for node in _searched_nodes(ctx, sb, cfg, cur_mask, ref_mask)]
+    for size in sorted({rect.size for rect in nodes}):
+        rects = [rect for rect in nodes if rect.size == size]
+        warps = [_Leaf(mode=BlockMode.GLOBAL_WARP) for _ in rects]
+        mvs = [_Leaf(mode=BlockMode.INTER_MV, mv=tuple(mv))
+               for mv in diamond_search(
+                   ctx.orig["y"][0], ctx.prev_recon["y"][0],
+                   [rect.x for rect in rects], [rect.y for rect in rects],
+                   size).tolist()]
+        tables.update(zip(rects, zip(
+            zip(warps, *_code_leaves(ctx, warps, rects)),
+            zip(mvs, *_code_leaves(ctx, mvs, rects)))))
+    return tables
 
 
-def _search_node(ctx: _FrameCtx, rect: BlockRect, tables: _RowTables):
+def _search_node(ctx: _FrameCtx, rect: BlockRect, tables: dict):
     """RD-search one quadtree node; returns (tree, bits, dist) and leaves the
     chosen tree's reconstruction in the working recon planes.  The search
     reads those planes only above and left of `rect` (the INTRA_DC
@@ -511,7 +527,9 @@ def _search_node(ctx: _FrameCtx, rect: BlockRect, tables: _RowTables):
     if rect.size > MIN_BLOCK and not flag:  # a partial node: always split
         return _search_split(ctx, rect, tables)
 
-    if rect not in tables.searched:  # texture-forced: no RD, no split
+    # an INTER frame's tables hold each node it searches; any other full
+    # node is texture-forced: no RD, no split
+    if ctx.frame_type == INTER_FRAME and rect not in tables:
         leaf = _Leaf(mode=BlockMode.TEXTURE)
         blocks = _reconstruct_leaf(ctx, leaf, rect)
         _paste(ctx, rect, blocks)
@@ -524,7 +542,7 @@ def _search_node(ctx: _FrameCtx, rect: BlockRect, tables: _RowTables):
     # candidate order implements the tie-break preference:
     # TEXTURE > GLOBAL_WARP > INTER_MV > INTRA_DC > SPLIT (strict < to replace)
     best = None
-    for leaf, bits, dist in (*tables.inter.get(rect, ()),
+    for leaf, bits, dist in (*tables.get(rect, ()),
                              (intra, intra_bits, intra_dist)):
         bits += flag
         cost = dist + ctx.rd_lambda * bits
@@ -595,14 +613,14 @@ def _encode_frame(i: int, frame: Frame, cur_mask, config: EncoderConfig,
                   key_mask) -> _CodedFrame:
     """Code padded frame `i`.  A KEY frame reads neither the references,
     the masks nor `config.texture_mode`."""
-    is_key = i % config.gf_group_size == 0
-    ftype = KEY_FRAME if is_key else INTER_FRAME
+    ftype = _frame_type(i, config.gf_group_size)
+    is_key = ftype == KEY_FRAME
     pw, ph = frame.width, frame.height
-    header = struct.pack("<BB", ftype, config.q_level)
+    header = _FRAME_HEADER.pack(ftype, config.q_level)
     m = ref_mask = None
     if not is_key:
         q16 = _estimate_frame_motion(frame, key_recon, cur_mask, config)
-        header += struct.pack("<6i", *q16)
+        header += _MOTION.pack(*q16)
         m = _q16_motion(q16)
         ref_mask = key_mask
     ctx = _FrameCtx(pw, ph, config.q_step, ftype, key_recon=key_recon,
@@ -612,13 +630,13 @@ def _encode_frame(i: int, frame: Frame, cur_mask, config: EncoderConfig,
     bw = BitWriter()
     trace = []
     for row in _superblock_rows(ctx):
-        tables = _RowTables(ctx, row, config, cur_mask, ref_mask)
+        tables = _row_tables(ctx, row, config, cur_mask, ref_mask)
         for rect in row:
             tree, _, _ = _search_node(ctx, rect, tables)
             _write_tree(bw, ctx, tree, rect, trace)
         del tables  # before the next row's are built
     payload = bw.to_bytes()
-    data = header + struct.pack("<I", len(payload)) + payload
+    data = header + _U32.pack(len(payload)) + payload
 
     recon = ctx.recon_frame(i)
     mode_counts = {mode.name: 0 for mode in BlockMode}
@@ -665,7 +683,7 @@ def _encode(seq: Sequence, masks,
     key = key_mask = None  # the group's KEY frame, the same for every config
     for i, frame in enumerate(padded):
         cur_mask = masks[i] if masks is not None else None
-        if i % first.gf_group_size == 0:
+        if _frame_type(i, first.gf_group_size) == KEY_FRAME:
             key = _encode_frame(i, frame, cur_mask, first, None, None, None)
             key_mask = cur_mask
             for frames in coded:
@@ -675,12 +693,12 @@ def _encode(seq: Sequence, masks,
             frames.append(_encode_frame(i, frame, cur_mask, cfg, key.recon,
                                         frames[-1].recon, key_mask))
 
-    head = struct.pack("<4sBHHHBB", MAGIC, VERSION, seq.width, seq.height,
-                       len(seq), first.gf_group_size,
-                       _MODEL_CODE[first.model_kind])
+    head = _FILE_HEADER.pack(MAGIC, VERSION, seq.width, seq.height,
+                             len(seq), first.gf_group_size,
+                             _MODEL_CODE[first.model_kind])
     return [EncodeResult(
         bitstream=b"".join([head, *(f.data for f in frames),
-                            *(struct.pack("<I", f.crc) for f in frames)]),
+                            *(_U32.pack(f.crc) for f in frames)]),
         frame_stats=[f.stats for f in frames],
         reconstructions=[f.recon for f in frames],
         traces=[f.trace for f in frames]) for frames in coded]
@@ -713,46 +731,44 @@ def _decode_node(ctx: _FrameCtx, rect: BlockRect, br: BitReader):
     _apply_leaf(ctx, _read_leaf(br, ctx, rect), rect)
 
 
+def _read(layout: struct.Struct, data: bytes, pos: int, what: str):
+    """The fields of `layout` at `data[pos:]`, and the position after them;
+    raises "truncated `what`" when `data` ends before they do."""
+    end = pos + layout.size
+    if end > len(data):
+        raise BitstreamError(f"truncated {what}")
+    return layout.unpack_from(data, pos), end
+
+
 def decode_sequence(data: bytes) -> DecodeResult:
     """Decode a TXC1 file.  Every frame record and the CRC footer are
     checked to lie within `data` before any frame is decoded."""
-    hdr_size = struct.calcsize("<4sBHHHBB")
-    if len(data) < hdr_size:
-        raise BitstreamError("truncated file header")
-    magic, version, width, height, n_frames, gf, model_code = struct.unpack(
-        "<4sBHHHBB", data[:hdr_size])
+    (magic, version, width, height, n_frames, gf, model_code), pos = _read(
+        _FILE_HEADER, data, 0, "file header")
     if magic != MAGIC:
         raise BitstreamError(f"bad magic {magic!r}")
     if version != VERSION:
         raise BitstreamError(f"unsupported bitstream version {version}")
+    if gf not in GF_GROUP_SIZES:
+        raise BitstreamError(f"bad gf_group_size {gf}")
     if model_code not in _MODEL_FROM_CODE:
         raise BitstreamError(f"unknown motion model code {model_code}")
     pw, ph = pad16(width), pad16(height)
-    # every superblock codes at least one 2-bit leaf mode
-    min_payload_bits = 2 * -(-pw // SUPERBLOCK) * -(-ph // SUPERBLOCK)
-    pos = hdr_size
+    # every superblock codes at least one leaf mode
+    min_payload_bits = MODE_BITS * -(-pw // SUPERBLOCK) * -(-ph // SUPERBLOCK)
     records = []  # per frame: type, q_level, motion, payload start and end
     for i in range(n_frames):
-        if pos + 2 > len(data):
-            raise BitstreamError(f"truncated header of frame {i}")
-        ftype, q_level = struct.unpack_from("<BB", data, pos)
-        pos += 2
-        if ftype not in (KEY_FRAME, INTER_FRAME):
-            raise BitstreamError(f"bad frame type {ftype}")
-        if q_level < 1:
-            raise BitstreamError("bad q_level")
+        (ftype, q_level), pos = _read(_FRAME_HEADER, data, pos,
+                                      f"header of frame {i}")
+        if ftype != _frame_type(i, gf):
+            raise BitstreamError(f"bad frame type {ftype} of frame {i}")
+        if q_level not in Q_LEVELS:
+            raise BitstreamError(f"bad q_level {q_level} of frame {i}")
         m = None
         if ftype == INTER_FRAME:
-            if i == 0:  # frame 0 must be the first group's KEY frame
-                raise BitstreamError("INTER frame without a key frame")
-            if pos + 24 > len(data):
-                raise BitstreamError(f"truncated motion header of frame {i}")
-            m = _q16_motion(struct.unpack_from("<6i", data, pos))
-            pos += 24
-        if pos + 4 > len(data):
-            raise BitstreamError(f"truncated payload length of frame {i}")
-        (plen,) = struct.unpack_from("<I", data, pos)
-        pos += 4
+            q16, pos = _read(_MOTION, data, pos, f"motion header of frame {i}")
+            m = _q16_motion(q16)
+        (plen,), pos = _read(_U32, data, pos, f"payload length of frame {i}")
         if pos + plen > len(data):
             raise BitstreamError(f"truncated payload of frame {i}")
         if 8 * plen < min_payload_bits:
@@ -760,9 +776,10 @@ def decode_sequence(data: bytes) -> DecodeResult:
                                  f"{width}x{height}")
         records.append((ftype, q_level, m, pos, pos + plen))
         pos += plen
-    if pos + 4 * n_frames > len(data):
-        raise BitstreamError("truncated CRC footer")
-    crcs = struct.unpack_from(f"<{n_frames}I", data, pos)
+    crcs = []
+    for _ in range(n_frames):
+        (crc,), pos = _read(_U32, data, pos, "CRC footer")
+        crcs.append(crc)
 
     prev_recon = key_recon = None
     recons, frames = [], []

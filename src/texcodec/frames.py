@@ -127,17 +127,11 @@ def read_y4m(source) -> Sequence:
     """
     if isinstance(source, (bytes, bytearray)):
         source = io.BytesIO(source)
-    header = bytearray()
-    while True:
-        c = source.read(1)
-        if not c:
-            raise Y4MError("truncated Y4M header")
-        if c == b"\n":
-            break
-        header += c
-        if len(header) > 512:
-            raise Y4MError("Y4M header too long")
-    fields = header.decode("ascii", "replace").split(" ")
+    header = source.readline(513)  # at most 512 bytes, then the newline
+    if not header.endswith(b"\n"):
+        raise Y4MError("Y4M header too long" if len(header) > 512
+                       else "truncated Y4M header")
+    fields = header[:-1].decode("ascii", "replace").split(" ")
     if fields[0] != "YUV4MPEG2":
         raise Y4MError("missing YUV4MPEG2 signature")
     width = height = None
@@ -161,15 +155,11 @@ def read_y4m(source) -> Sequence:
     nbytes = frame_size_bytes(width, height)
     frames = []
     while True:
-        line = bytearray()
-        c = source.read(1)
-        if not c:
+        line = source.readline()
+        if not line:
             break
-        while c != b"\n":
-            line += c
-            c = source.read(1)
-            if not c:
-                raise Y4MError("truncated FRAME marker")
+        if not line.endswith(b"\n"):
+            raise Y4MError("truncated FRAME marker")
         if not line.startswith(b"FRAME"):
             raise Y4MError("expected FRAME marker")
         buf = source.read(nbytes)

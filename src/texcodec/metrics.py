@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .codec import EncoderConfig, _encode, decode_sequence
+from .codec import Q_LEVELS, EncoderConfig, _encode, decode_sequence
 from .datasets import NON_TEXTURE
 from .frames import BLOCK, Sequence, pad_frame
 
@@ -210,9 +210,10 @@ def rd_sweep(seq: Sequence, masks, q_levels=DEFAULT_Q_LEVELS,
     this returns or raises."""
     q_levels = tuple(q_levels)
     if len(q_levels) != 4 or len(set(q_levels)) != 4 or not all(
-            isinstance(q, int) and not isinstance(q, bool) and 1 <= q <= 63
+            isinstance(q, int) and not isinstance(q, bool) and q in Q_LEVELS
             for q in q_levels):
-        raise MetricsError(f"q_levels must be 4 distinct ints in [1, 63], "
+        raise MetricsError(f"q_levels must be 4 distinct ints in "
+                           f"[{Q_LEVELS[0]}, {Q_LEVELS[-1]}], "
                            f"got {q_levels!r}")
     if base_config is None:
         base_config = EncoderConfig()

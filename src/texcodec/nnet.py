@@ -12,11 +12,11 @@ Convolution uses the cross-correlation convention (no kernel flip).
 from __future__ import annotations
 
 import hashlib
-import struct
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 WEIGHTS_MAGIC = b"TXNN"
 WEIGHTS_VERSION = 1
@@ -67,16 +67,12 @@ class Conv2D(Layer):
         self.params["b"] = np.zeros(out_ch, dtype=np.float32)
 
     def _im2col(self, x):
+        """(n, c * 9, h * w) columns: row c * 9 + di * 3 + dj holds channel
+        c shifted by (di - 1, dj - 1), zero outside the input."""
         n, c, h, w = x.shape
         xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-        cols = np.empty((n, c * 9, h * w), dtype=x.dtype)
-        k = 0
-        for di in range(3):
-            for dj in range(3):
-                patch = xp[:, :, di:di + h, dj:dj + w]
-                cols[:, k::9, :] = patch.reshape(n, c, h * w)
-                k += 1
-        return cols
+        return sliding_window_view(xp, (h, w), axis=(2, 3)).reshape(
+            n, c * 9, h * w)
 
     def forward(self, x, train=False, rng=None):
         n, c, h, w = x.shape
@@ -96,15 +92,11 @@ class Conv2D(Layer):
         )
         self.grads["b"] = d2.sum(axis=(0, 2))
         w2 = self.params["w"].reshape(self.out_ch, self.in_ch * 9)
-        dcols = np.matmul(w2.T[None], d2)  # (n, c*9, h*w)
+        dcols = np.matmul(w2.T[None], d2).reshape(n, c, 3, 3, h, w)
         dxp = np.zeros((n, c, h + 2, w + 2), dtype=dout.dtype)
-        k = 0
         for di in range(3):
             for dj in range(3):
-                dxp[:, :, di:di + h, dj:dj + w] += dcols[:, k::9, :].reshape(
-                    n, c, h, w
-                )
-                k += 1
+                dxp[:, :, di:di + h, dj:dj + w] += dcols[:, :, di, dj]
         return dxp[:, :, 1:-1, 1:-1]
 
 
@@ -441,7 +433,7 @@ class SGD:
 
 def save_params(net: Net, sink) -> int:
     n = sink.write(WEIGHTS_MAGIC)
-    n += sink.write(struct.pack("<B", WEIGHTS_VERSION))
+    n += sink.write(bytes([WEIGHTS_VERSION]))
     n += sink.write(net.spec.spec_hash())
     for _, arr in net.state_items():
         n += sink.write(arr.astype("<f4").tobytes())

@@ -18,7 +18,7 @@ from texcodec.codec import (_TU, INTER_FRAME, KEY_FRAME, MAGIC, MAX_LEVEL,
                             EncoderConfig, _FrameCtx, _Leaf, _apply_leaf,
                             _encode, _estimate_frame_motion, _leaf_bits,
                             _plane_rect, _prediction, _q16, _q16_motion,
-                            _read_coeffs, _reconstruct_leaf, _RowTables,
+                            _read_coeffs, _reconstruct_leaf, _row_tables,
                             _search_node, _superblock_rows, _tiles,
                             decode_sequence, encode_sequence,
                             is_texture_block)
@@ -491,7 +491,7 @@ def test_rd_search_matches_exhaustive_oracle(seed, q):
 
     root = BlockRect(0, 0, 64)
     _, sbits, sdist = _search_node(ctx, root,
-                                   _RowTables(ctx, [root], cfg, None, None))
+                                   _row_tables(ctx, [root], cfg, None, None))
     search_cost = sdist + cfg.rd_lambda * sbits
 
     snap = _snapshot(ctx, root)
@@ -539,7 +539,7 @@ def test_search_ignores_what_its_node_held(ftype, rect):
             inside[:] = 0 if fill == "zeros" else rng.integers(
                 0, 256, inside.shape, dtype=np.uint8)
         tree, bits, dist = _search_node(
-            ctx, rect, _RowTables(ctx, [rect], cfg, None, None))
+            ctx, rect, _row_tables(ctx, [rect], cfg, None, None))
         block = _snapshot(ctx, rect)
         for plane, a in context.items():
             x, y, s = _plane_rect(plane, rect)
@@ -598,16 +598,16 @@ def test_rd_tables_match_per_node_reference():
                             key_recon=recons[0], prev_recon=recons[i - 1],
                             motion=m, orig=padded[i], rd_lambda=cfg.rd_lambda)
             for row in _superblock_rows(ctx):
-                tables = _RowTables(ctx, row, cfg, cur_mask, masks[0])
+                tables = _row_tables(ctx, row, cfg, cur_mask, masks[0])
                 want = [n for sb in row for n in _reference_searched(
                     ctx, sb, cfg, cur_mask, masks[0])]
-                assert tables.searched == set(want)
+                assert set(tables) == set(want)
                 # nodes that texture mode takes out of the search
                 n_forced += len([n for sb in row for n in _reference_searched(
                     ctx, sb, cfg, None, None)]) - len(want)
                 for rect in want:
                     n_nodes += 1
-                    got = tables.inter[rect]
+                    got = tables[rect]
                     for (leaf, bits, dist), mode in zip(
                             got, (BlockMode.GLOBAL_WARP, BlockMode.INTER_MV)):
                         ref, ref_bits, ref_dist = _reference_leaf(

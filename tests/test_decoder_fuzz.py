@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from texcodec import codec
 from texcodec.bitio import BitstreamError
-from texcodec.codec import (INTER_FRAME, EncoderConfig, decode_sequence,
-                            encode_sequence)
+from texcodec.codec import (INTER_FRAME, KEY_FRAME, EncoderConfig,
+                            decode_sequence, encode_sequence)
 from texcodec.sequences import panning_texture_sequence, random_sequence
 
 FILE_HEADER = "<4sBHHHBB"
@@ -168,3 +168,53 @@ def test_frame_header_field_sweeps(which, frame, field, data):
         struct.pack_into("<6i", stream, motion, *data.draw(st.lists(
             st.integers(-2 ** 31, 2 ** 31 - 1), min_size=6, max_size=6)))
     _decode_traced(bytes(stream))
+
+
+# Header values that no encoder writes, each rejected with its own message
+
+
+def _with_byte(stream: bytes, offset: int, value: int) -> bytes:
+    data = bytearray(stream)
+    data[offset] = value
+    return bytes(data)
+
+
+@pytest.mark.parametrize("q_level", [0, 64, 255])
+@pytest.mark.parametrize("frame", [0, 1])
+def test_q_level_outside_1_to_63_is_rejected(q_level, frame):
+    data = _streams()[0]
+    start, _, _ = _layout(data)[0][frame]
+    with pytest.raises(BitstreamError,
+                       match=f"bad q_level {q_level} of frame {frame}"):
+        decode_sequence(_with_byte(data, start + 1, q_level))
+
+
+@pytest.mark.parametrize("gf", [0, 3, 17, 255])
+def test_gf_group_size_outside_4_to_16_is_rejected(gf):
+    data = _with_byte(_streams()[0], _FILE_FIELDS["gf"][0], gf)
+    with pytest.raises(BitstreamError, match=f"bad gf_group_size {gf}$"):
+        decode_sequence(data)
+
+
+@pytest.mark.parametrize("frame,ftype", [(0, INTER_FRAME), (1, KEY_FRAME)],
+                         ids=["key-as-inter", "inter-as-key"])
+def test_frame_type_must_follow_the_gf_group(frame, ftype):
+    # frame i is a KEY frame exactly when i % gf == 0
+    data = _streams()[0]
+    start, _, _ = _layout(data)[0][frame]
+    with pytest.raises(BitstreamError,
+                       match=f"bad frame type {ftype} of frame {frame}"):
+        decode_sequence(_with_byte(data, start, ftype))
+
+
+def test_frame_types_follow_the_header_gf():
+    # the texture stream has gf 4 and 5 frames: KEY at frames 0 and 4
+    data = _streams()[0]
+    assert data[_FILE_FIELDS["gf"][0]] == 4
+    starts = [start for start, _, _ in _layout(data)[0]]
+    assert [data[s] for s in starts] == [KEY_FRAME] + 3 * [INTER_FRAME] + [
+        KEY_FRAME]
+    for gf in (5, 16):  # legal, but frame 4 is then an INTER frame
+        with pytest.raises(BitstreamError,
+                           match="bad frame type 0 of frame 4"):
+            decode_sequence(_with_byte(data, _FILE_FIELDS["gf"][0], gf))

@@ -62,6 +62,40 @@ def test_read_y4m_rejects_bad_signature_and_truncation():
         read_y4m(b"YUV4MPEG2 W16 H16 F30:1\n")
 
 
+def _padded_header(n: int) -> bytes:
+    """An n-byte 16x16 Y4M header line, without its newline; the spaces
+    that pad it are empty tokens."""
+    return b"YUV4MPEG2 W16 H16 F30:1".ljust(n, b" ")
+
+
+def test_read_y4m_header_length_limit():
+    frame = b"FRAME\n" + bytes(384)
+    assert len(read_y4m(_padded_header(512) + b"\n" + frame)) == 1
+    with pytest.raises(Y4MError, match="too long"):
+        read_y4m(_padded_header(513) + b"\n" + frame)
+    with pytest.raises(Y4MError, match="truncated Y4M header"):
+        read_y4m(_padded_header(512))
+
+
+@pytest.mark.parametrize("tail,error", [
+    (b"FRAME", "truncated FRAME marker"),
+    (b"FRAME Ixyz", "truncated FRAME marker"),
+    (b"FRAMX\n" + bytes(384), "expected FRAME marker"),
+    (b"\n", "expected FRAME marker"),
+    (b"YUV4MPEG2 W16 H16\n", "expected FRAME marker"),
+])
+def test_read_y4m_bad_frame_marker_after_a_frame(tail, error):
+    head = b"YUV4MPEG2 W16 H16 F30:1\nFRAME\n" + bytes(384)
+    with pytest.raises(Y4MError, match=error):
+        read_y4m(head + tail)
+
+
+def test_read_y4m_frame_line_parameters_are_skipped():
+    seq = read_y4m(b"YUV4MPEG2 W16 H16 F30:1\nFRAME Ixyz\n"
+                   + bytes(range(256)) + bytes(128))
+    assert seq[0].y.tobytes() == bytes(range(256))
+
+
 # ---------------------------------------------------------------------------
 # write_y4m
 

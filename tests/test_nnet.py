@@ -39,6 +39,45 @@ def test_conv_all_ones_overlap_counts():
     assert np.array_equal(out, expected)
 
 
+def _loop_im2col(x):
+    """Conv2D's columns, one (di, dj) shift at a time."""
+    n, c, h, w = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    cols = np.empty((n, c * 9, h * w), dtype=x.dtype)
+    for k in range(9):
+        di, dj = divmod(k, 3)
+        cols[:, k::9] = xp[:, :, di:di + h, dj:dj + w].reshape(n, c, h * w)
+    return cols
+
+
+def _loop_col2im(dcols, shape):
+    """The input gradient that (n, c * 9, h * w) column gradients give,
+    summed over the shifts in (di, dj) order."""
+    n, c, h, w = shape
+    dxp = np.zeros((n, c, h + 2, w + 2), dtype=dcols.dtype)
+    for k in range(9):
+        di, dj = divmod(k, 3)
+        dxp[:, :, di:di + h, dj:dj + w] += dcols[:, k::9].reshape(n, c, h, w)
+    return dxp[:, :, 1:-1, 1:-1]
+
+
+@pytest.mark.parametrize("n,c,h,w,out", [(2, 3, 16, 16, 8), (3, 8, 8, 8, 16),
+                                         (1, 16, 4, 4, 32), (2, 1, 5, 7, 2)])
+def test_conv_columns_match_loop_reference(n, c, h, w, out):
+    rng = np.random.default_rng(n * c + h)
+    conv = Conv2D(c, out, rng)
+    x = rng.standard_normal((n, c, h, w)).astype(np.float32)
+    cols = conv._im2col(x)
+    assert cols.dtype == np.float32
+    assert np.array_equal(cols, _loop_im2col(x))
+    dout = rng.standard_normal((n, out, h, w)).astype(np.float32)
+    conv.forward(x)
+    dx = conv.backward(dout)
+    w2 = conv.params["w"].reshape(out, c * 9)
+    dcols = np.matmul(w2.T[None], dout.reshape(n, out, h * w))
+    assert np.array_equal(dx, _loop_col2im(dcols, x.shape))
+
+
 def test_conv_channel_mismatch():
     conv = Conv2D(3, 4, np.random.default_rng(0))
     with pytest.raises(ShapeError):
