@@ -61,12 +61,16 @@ class BitWriter:
         nacc = self._nacc + n
         self.bits_written += n
         if nacc >= 64:
-            keep = nacc & 7
-            self._bytes += (acc >> keep).to_bytes(nacc >> 3, "big")
-            acc &= (1 << keep) - 1
-            nacc = keep
+            acc, nacc = self._flush(acc, nacc)
         self._acc = acc
         self._nacc = nacc
+
+    def _flush(self, acc: int, nacc: int) -> tuple[int, int]:
+        """Move the whole bytes of the `nacc`-bit accumulator `acc` to the
+        output; returns the accumulator of the bits left."""
+        keep = nacc & 7
+        self._bytes += (acc >> keep).to_bytes(nacc >> 3, "big")
+        return acc & ((1 << keep) - 1), keep
 
     def write_bit(self, b: int) -> None:
         self._put(b & 1, 1)
@@ -81,12 +85,23 @@ class BitWriter:
         self.write_ues((value,))
 
     def write_ues(self, values) -> None:
-        """The ue() code of each value of an int sequence or array, in order."""
-        for value in map(int, values):
-            if value < 0:
-                raise ValueError("ue() needs a non-negative value")
-            v = value + 1
-            self._put(v, 2 * v.bit_length() - 1)
+        """The ue() code of each value of an int sequence or array, in order:
+        `_put`'s steps inlined, one loop step per code."""
+        acc, nacc, written = self._acc, self._nacc, self.bits_written
+        try:
+            for value in (values.tolist() if isinstance(values, np.ndarray)
+                          else map(int, values)):
+                if value < 0:
+                    raise ValueError("ue() needs a non-negative value")
+                v = value + 1
+                n = 2 * v.bit_length() - 1
+                acc = (acc << n) | v
+                nacc += n
+                written += n
+                if nacc >= 64:
+                    acc, nacc = self._flush(acc, nacc)
+        finally:
+            self._acc, self._nacc, self.bits_written = acc, nacc, written
 
     def to_bytes(self) -> bytes:
         """Flush, padding the final byte with zero bits."""

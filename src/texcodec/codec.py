@@ -1,12 +1,13 @@
 """Quadtree block codec with a texture-synthesis mode.
 
 Stand-in for a production encoder: 64x64 superblocks split down to 16x16,
-modes INTRA_DC / INTER_MV / GLOBAL_WARP / TEXTURE, orthonormal DCT residual
-coding with Exp-Golomb entropy codes, GF groups led by KEY frames, and a
-bit-exact decoder.  Texture blocks are forced (no RD, no further split) to
-GLOBAL_WARP prediction from the group's KEY-frame reconstruction with zero
-residual; the texture motion parameters ride in the uncompressed frame
-header.  See docs/bitstream.md for the exact "TXC1" layout.
+modes INTRA_DC / INTER_MV / GLOBAL_WARP / TEXTURE, integer core-transform
+residual coding with Exp-Golomb entropy codes, GF groups led by KEY frames,
+and a decoder that is bit-exact by construction.  Texture blocks are forced
+(no RD, no further split) to GLOBAL_WARP prediction from the group's
+KEY-frame reconstruction with zero residual; the texture motion parameters
+ride in the uncompressed frame header.  See docs/bitstream.md for the exact
+"TXC1" version 2 layout.
 """
 
 from __future__ import annotations
@@ -27,10 +28,12 @@ from .frames import BLOCK, BlockRect, Frame, Sequence, crop_frame, pad16, pad_fr
 from .motion import (AffineMotion, MotionError, MotionModelKind,
                      diamond_search, estimate_texture_motion, warp_frame,
                      warp_rect)
-from .transform import reconstruct_residual, scan, transform_quantize, unscan
+from .transform import (DC_BASIS, dequantize, inverse_sums, quant_step,
+                        quantize, reconstruct_residual, round_shift, scan,
+                        shift, transform_quantize, unscan)
 
 MAGIC = b"TXC1"
-VERSION = 1
+VERSION = 2
 # The TXC1 container layouts, little-endian; see docs/bitstream.md.  The
 # file header: magic, version, width, height, frame count, gf, model code
 _FILE_HEADER = struct.Struct("<4sBHHHBB")
@@ -49,9 +52,13 @@ CHROMA_TU = 8
 # u first, then v
 _TU = {"y": LUMA_TU, "uv": CHROMA_TU}
 # Largest |level| of a quantized coefficient: a residual sample is at most
-# 255 in magnitude, so an orthonormal 16x16 DCT coefficient is at most
-# 255 * 16, and q_step >= 1.
-MAX_LEVEL = 255 * LUMA_TU
+# 255 in magnitude and an n-point core-matrix row's L1 norm at most 64·n, so
+# a coefficient is at most 255·(64·n)**2, and its step at least
+# 2**shift(n): 255·1024**2 / 2**16 = 4080 for 16x16 TUs (2040 for 8x8).
+MAX_LEVEL = 255 * (DC_BASIS * LUMA_TU) ** 2 >> shift(LUMA_TU)
+# Largest padded frame area, in luma samples, that a decoder accepts: AV1's
+# level 5 MaxPicSize.
+MAX_FRAME_AREA = 8_912_896
 
 _MODEL_CODE = {MotionModelKind.TRANSLATION: 0, MotionModelKind.ROTZOOM: 1,
                MotionModelKind.AFFINE: 2}
@@ -239,15 +246,14 @@ def _dc_predict(recon: np.ndarray, x, y, s) -> np.ndarray:
     """Each plane's DC prediction of its (s, s) block at (x, y) in the
     (c, h, w) `recon`: the rounded mean of the row above and the column
     left, 128 where neither is in the frame."""
-    total, n = np.zeros(len(recon), np.int64), 0
-    if y > 0:
-        total += recon[:, y - 1, x:x + s].sum(axis=-1, dtype=np.int64)
-        n += s
-    if x > 0:
-        total += recon[:, y:y + s, x - 1].sum(axis=-1, dtype=np.int64)
-        n += s
+    n = s * ((y > 0) + (x > 0))
     if n == 0:
-        return total + 128
+        return np.full(len(recon), 128, np.int64)
+    total = 0
+    if y > 0:
+        total = recon[:, y - 1, x:x + s].sum(axis=-1, dtype=np.int64)
+    if x > 0:
+        total = total + recon[:, y:y + s, x - 1].sum(axis=-1, dtype=np.int64)
     return (total + n // 2) // n
 
 
@@ -267,29 +273,33 @@ def _prediction(ctx: _FrameCtx, leaf: _Leaf, rect: BlockRect,
 
 
 def _tiles(blocks: np.ndarray, tu: int) -> np.ndarray:
-    """(..., s, s) blocks as their (..., k, tu, tu) TUs in raster order."""
-    *lead, s, _ = blocks.shape
-    m = s // tu
-    return blocks.reshape(*lead, m, tu, m, tu).swapaxes(-3, -2).reshape(
-        *lead, m * m, tu, tu)
+    """(..., h, w) blocks as their (..., k, tu, tu) TUs in raster order."""
+    *lead, h, w = blocks.shape
+    return blocks.reshape(*lead, h // tu, tu, w // tu, tu).swapaxes(
+        -3, -2).reshape(*lead, (h // tu) * (w // tu), tu, tu)
 
 
-def _untile(tiles: np.ndarray, s: int) -> np.ndarray:
-    """The inverse of `_tiles`: (..., k, tu, tu) TUs -> (..., s, s) blocks."""
+def _untile(tiles: np.ndarray, h: int, w: int) -> np.ndarray:
+    """The inverse of `_tiles`: (..., k, tu, tu) TUs -> (..., h, w)."""
     *lead, _, tu, _ = tiles.shape
-    m = s // tu
-    return tiles.reshape(*lead, m, m, tu, tu).swapaxes(-3, -2).reshape(
-        *lead, s, s)
+    return tiles.reshape(*lead, h // tu, w // tu, tu, tu).swapaxes(
+        -3, -2).reshape(*lead, h, w)
 
 
 def _reconstruct(pred: np.ndarray, levels: np.ndarray,
                  q_step: int) -> np.ndarray:
-    """(..., s, s) int64 predictions plus the residual that their
+    """(..., h, w) int64 predictions plus the residual that their
     (..., k, tu, tu) levels code, clipped to uint8: the one reconstruction
-    rule of the RD search and the decoder."""
-    res = _untile(reconstruct_residual(levels, q_step), pred.shape[-1])
+    rule of the RD search and the decoder.  (`_intra_leaf` computes the same
+    sums by parts.)"""
+    res = _untile(reconstruct_residual(levels, q_step), *pred.shape[-2:])
     res += pred
-    return np.clip(res, 0, 255).astype(np.uint8)
+    return _to_uint8(res)
+
+
+def _to_uint8(samples: np.ndarray) -> np.ndarray:
+    """Integer samples clipped to 0..255, as uint8."""
+    return np.minimum(np.maximum(samples, 0), 255).astype(np.uint8)
 
 
 def _reconstruct_leaf(ctx: _FrameCtx, leaf: _Leaf, rect: BlockRect) -> dict:
@@ -409,39 +419,33 @@ def _leaf_bits(leaf: _Leaf, with_flag: bool) -> int:
     return int(with_flag) + MODE_BITS + ue_bits(_leaf_codes(leaf))
 
 
-def _ssd(orig: np.ndarray, recon: np.ndarray) -> np.ndarray:
-    """The SSD of each (c, s, s) block of two (..., c, s, s) stacks."""
+def _ssd(orig: np.ndarray, recon: np.ndarray) -> int:
+    """The SSD of two uint8 blocks."""
     d = orig.astype(np.int64) - recon
-    return (d * d).sum(axis=(-3, -2, -1))
+    return int(np.vdot(d, d))
 
 
-def _block_bits(levels: np.ndarray) -> np.ndarray:
-    """The bits of the `_coeff_codes` of each block's (c, k, n, n) levels,
-    for an (N, c, k, n, n) stack: the per-TU sums of the ue() code array
-    the writer emits."""
-    codes, starts = _coeff_codes(levels)
-    return np.add.reduceat(ue_lengths(codes),
-                           starts.reshape(len(levels), -1)[:, 0])
-
-
-def _code_blocks(orig: np.ndarray, pred: np.ndarray, tu: int, q_step: int):
-    """Code an (N, c, s, s) stack of int64 predictions of the (N, c, s, s)
-    uint8 `orig` blocks in (tu, tu) TUs.  Returns the (N, c, k, tu, tu)
-    levels, the (N, c, s, s) reconstruction, and per block the bits of its
-    TU codes and its SSD."""
+def _code_tus(orig: np.ndarray, pred: np.ndarray, tu: int, q_step: int):
+    """Code (..., h, w) int64 predictions of the (..., h, w) uint8 `orig`
+    samples in (tu, tu) TUs.  Returns the (..., k, tu, tu) levels, the
+    (..., h, w) reconstruction, and per TU (..., k) the bits of its codes
+    (the per-TU sums of the ue() code array the writer emits) and its
+    SSD."""
     levels = transform_quantize(_tiles(orig - pred, tu), q_step)
     recon = _reconstruct(pred, levels, q_step)
-    return levels, recon, _block_bits(levels), _ssd(orig, recon)
+    codes, starts = _coeff_codes(levels)
+    bits = np.add.reduceat(ue_lengths(codes), starts)
+    d = _tiles(orig.astype(np.int64) - recon, tu)
+    return (levels, recon, bits.reshape(levels.shape[:-2]),
+            (d * d).sum(axis=(-2, -1)))
 
 
 def _code_leaves(ctx: _FrameCtx, leaves: list, rects: list):
-    """Code same-size leaves, whose modes and MVs are set, as one stack per
+    """Code same-size INTER_MV leaves, whose MVs are set, as one stack per
     TU size: fills in each leaf's levels and reconstruction, and returns
     the lists of their bits after the split flag and of their SSDs."""
-    bits = np.array([
-        MODE_BITS + (ue_bits(se_to_ue(np.array(leaf.mv, np.int64)))
-                     if leaf.mode == BlockMode.INTER_MV else 0)
-        for leaf in leaves])
+    bits = MODE_BITS + ue_lengths(se_to_ue(
+        np.array([leaf.mv for leaf in leaves], np.int64))).sum(axis=1)
     dist = np.zeros(len(leaves), np.int64)
     for leaf in leaves:
         leaf.recon = {}
@@ -449,12 +453,12 @@ def _code_leaves(ctx: _FrameCtx, leaves: list, rects: list):
         pred = np.array([_prediction(ctx, leaf, rect, plane)
                          for leaf, rect in zip(leaves, rects)])
         orig = np.array([_block(ctx.orig, plane, rect) for rect in rects])
-        levels, recon, b, d = _code_blocks(orig, pred, tu, ctx.q_step)
+        levels, recon, b, d = _code_tus(orig, pred, tu, ctx.q_step)
         for leaf, leaf_levels, leaf_recon in zip(leaves, levels, recon):
             leaf.levels[plane] = leaf_levels
             leaf.recon[plane] = leaf_recon
-        bits += b
-        dist += d
+        bits += b.sum(axis=(1, 2))
+        dist += d.sum(axis=(1, 2))
     return bits.tolist(), dist.tolist()
 
 
@@ -491,34 +495,180 @@ def _searched_nodes(ctx: _FrameCtx, rect: BlockRect, cfg: EncoderConfig,
         yield from _searched_nodes(ctx, child, cfg, cur_mask, ref_mask)
 
 
+class _IntraTable(NamedTuple):
+    """A superblock row's INTRA_DC coding of one sample array, per TU
+    ([channel, TU row, TU column]): the part that no DC prediction changes.
+    The core matrix's AC rows sum to 0, so orig - dc has orig's AC
+    coefficients whatever the constant dc, and of a TU's codes only its DC
+    level's code, its count and its first run depend on dc."""
+    levels: np.ndarray  # (c, R, C, tu, tu) int16 AC levels; the DC one is 0
+    sums: np.ndarray    # (c, h, w) the inverse's pre-shift sums of those
+    total: np.ndarray   # (c, R, C) each TU's sum of orig samples
+    bits: np.ndarray    # (c, R, C) its code bits with a zero DC level
+    # (c, R, C) the bits a nonzero DC level adds besides its se() code: its
+    # ue(0) run, a longer count, and a first AC run shorter by one
+    dc_bits: np.ndarray
+
+
+class _WarpTable(NamedTuple):
+    """A superblock row's GLOBAL_WARP coding of one sample array, per TU:
+    the warp prediction does not depend on the node size, so a node's leaf
+    is its TUs' levels and reconstruction, and the sums of their bits and
+    SSDs."""
+    levels: np.ndarray  # (c, R, C, tu, tu)
+    recon: np.ndarray   # (c, h, w) uint8
+    bits: np.ndarray    # (c, R, C)
+    ssd: np.ndarray     # (c, R, C)
+
+
+class _RowTables(NamedTuple):
+    """What the RD search of one row of superblocks codes up front."""
+    y: int        # the row's first luma row
+    intra: dict   # "y"/"uv" -> _IntraTable
+    warp: dict | None  # "y"/"uv" -> _WarpTable; None in a KEY frame
+    mv: dict      # each node an INTER frame searches -> its INTER_MV's
+    #               (leaf, bits after the split flag, SSD)
+
+
+def _intra_table(orig: np.ndarray, tu: int, q_step: int) -> _IntraTable:
+    """The INTRA_DC table of a (c, h, w) uint8 band of samples: one forward
+    and one inverse transform."""
+    c, h, w = orig.shape
+    grid = (c, h // tu, w // tu)
+    tiles = _tiles(orig, tu)
+    levels = transform_quantize(tiles, q_step)
+    levels[..., 0, 0] = 0
+    codes, starts = _coeff_codes(levels)
+    count = codes[starts]
+    dc_bits = 1 + ue_lengths(count + 1) - ue_lengths(count)
+    lead = count > 0
+    first = codes[starts[lead] + 1]  # each first run: the AC level's position
+    dc_bits[lead] += ue_lengths(first - 1) - ue_lengths(first)
+    return _IntraTable(
+        levels=levels.astype(np.int16).reshape(*grid, tu, tu),
+        sums=_untile(inverse_sums(dequantize(levels, q_step)), h, w),
+        total=tiles.sum(axis=(-2, -1), dtype=np.int64).reshape(grid),
+        bits=np.add.reduceat(ue_lengths(codes), starts).reshape(grid),
+        dc_bits=dc_bits.reshape(grid))
+
+
+def _warp_table(orig: np.ndarray, warped: np.ndarray, tu: int,
+                q_step: int) -> _WarpTable:
+    """The GLOBAL_WARP table of a (c, h, w) uint8 band of samples and of
+    its warp prediction."""
+    c, h, w = orig.shape
+    grid = (c, h // tu, w // tu)
+    levels, recon, bits, ssd = _code_tus(orig, warped.astype(np.int64), tu,
+                                         q_step)
+    return _WarpTable(levels.reshape(*grid, tu, tu), recon,
+                      bits.reshape(grid), ssd.reshape(grid))
+
+
 def _row_tables(ctx: _FrameCtx, row: list, cfg: EncoderConfig, cur_mask,
-                ref_mask) -> dict:
-    """The inter leaves the RD search of one row of superblocks takes from
-    a table: each node it evaluates -> its GLOBAL_WARP's and INTER_MV's
-    (leaf, bits after the split flag, SSD).  Those leaves read neither the
-    working planes nor each other, so they are coded up front: per node
-    size, one lockstep diamond search of that size's nodes, then one
-    `_code_leaves` stack per mode.  Empty in a KEY frame."""
-    tables = {}
+                ref_mask) -> _RowTables:
+    """The tables the RD search of one row of superblocks builds its
+    candidates from.  Per TU size, one INTRA_DC table of the row's samples
+    and, in an INTER frame, one GLOBAL_WARP table; and the INTER_MV leaf of
+    each node the search evaluates: per node size, one lockstep diamond
+    search of that size's nodes, then one `_code_leaves` stack.  None of
+    these reads the working planes."""
+    y = row[0].y
+    band = {}
+    for plane in _TU:
+        _, py, ps = _plane_rect(plane, BlockRect(0, y, SUPERBLOCK))
+        band[plane] = (slice(None), slice(py, py + ps))
+    intra = {plane: _intra_table(ctx.orig[plane][band[plane]], tu,
+                                 ctx.q_step) for plane, tu in _TU.items()}
     if ctx.frame_type == KEY_FRAME:
-        return tables
+        return _RowTables(y, intra, None, {})
+    warp = {plane: _warp_table(ctx.orig[plane][band[plane]],
+                               ctx.warped[plane][band[plane]], tu, ctx.q_step)
+            for plane, tu in _TU.items()}
+    mv = {}
     nodes = [node for sb in row
              for node in _searched_nodes(ctx, sb, cfg, cur_mask, ref_mask)]
     for size in sorted({rect.size for rect in nodes}):
         rects = [rect for rect in nodes if rect.size == size]
-        warps = [_Leaf(mode=BlockMode.GLOBAL_WARP) for _ in rects]
-        mvs = [_Leaf(mode=BlockMode.INTER_MV, mv=tuple(mv))
-               for mv in diamond_search(
-                   ctx.orig["y"][0], ctx.prev_recon["y"][0],
-                   [rect.x for rect in rects], [rect.y for rect in rects],
-                   size).tolist()]
-        tables.update(zip(rects, zip(
-            zip(warps, *_code_leaves(ctx, warps, rects)),
-            zip(mvs, *_code_leaves(ctx, mvs, rects)))))
-    return tables
+        leaves = [_Leaf(mode=BlockMode.INTER_MV, mv=tuple(mv))
+                  for mv in diamond_search(
+                      ctx.orig["y"][0], ctx.prev_recon["y"][0],
+                      [rect.x for rect in rects], [rect.y for rect in rects],
+                      size).tolist()]
+        mv.update(zip(rects, zip(leaves, *_code_leaves(ctx, leaves, rects))))
+    return _RowTables(y, intra, warp, mv)
 
 
-def _search_node(ctx: _FrameCtx, rect: BlockRect, tables: dict):
+def _cells(tables: _RowTables, plane: str, rect: BlockRect):
+    """The slices of a node's TU rows and columns in the `plane` tables of
+    its row, and of its sample rows and columns in their (c, h, w)
+    arrays."""
+    x, y, s = _plane_rect(plane, BlockRect(rect.x, rect.y - tables.y,
+                                           rect.size))
+    tu = _TU[plane]
+    return (slice(y // tu, (y + s) // tu), slice(x // tu, (x + s) // tu),
+            slice(y, y + s), slice(x, x + s))
+
+
+def _warp_leaf(tables: _RowTables, rect: BlockRect):
+    """A node's GLOBAL_WARP (leaf, bits after the split flag, SSD), from
+    its row's tables."""
+    leaf = _Leaf(mode=BlockMode.GLOBAL_WARP, recon={})
+    bits = dist = 0
+    for plane, table in tables.warp.items():
+        rows, cols, ys, xs = _cells(tables, plane, rect)
+        levels = table.levels[:, rows, cols]
+        leaf.levels[plane] = levels.reshape(len(levels), -1, _TU[plane],
+                                            _TU[plane])
+        leaf.recon[plane] = table.recon[:, ys, xs]
+        bits += int(table.bits[:, rows, cols].sum())
+        dist += int(table.ssd[:, rows, cols].sum())
+    return leaf, MODE_BITS + bits, dist
+
+
+def _intra_leaf(ctx: _FrameCtx, tables: _RowTables, rect: BlockRect):
+    """A node's INTRA_DC (leaf, bits after the split flag, SSD), from its
+    row's tables and its DC predictions, with no transform.  A TU's DC
+    coefficient is DC_BASIS**2 times its residual's sum, and its DC level
+    adds DC_BASIS**2 * q_step * level to each of its inverse's sums."""
+    leaf = _Leaf(mode=BlockMode.INTRA_DC, recon={})
+    bits, dist = MODE_BITS, 0
+    for plane, table in tables.intra.items():
+        tu = _TU[plane]
+        x, y, s = _plane_rect(plane, rect)
+        pred = _dc_predict(ctx.recon[plane], x, y, s)[:, None, None]
+        rows, cols, ys, xs = _cells(tables, plane, rect)
+        dc = quantize(DC_BASIS ** 2 * (table.total[:, rows, cols]
+                                       - tu * tu * pred),
+                      quant_step(ctx.q_step, tu))
+        levels = table.levels[:, rows, cols].astype(np.int64)
+        levels[..., 0, 0] = dc
+        leaf.levels[plane] = levels.reshape(len(levels), -1, tu, tu)
+        # adding pred << shift before the rounding shift adds pred after it
+        offset = DC_BASIS ** 2 * ctx.q_step * dc + (pred << shift(tu))
+        m = s // tu
+        recon = _to_uint8(round_shift(
+            table.sums[:, ys, xs].reshape(-1, m, tu, m, tu)
+            + offset[:, :, None, :, None], tu)).reshape(-1, s, s)
+        leaf.recon[plane] = recon
+        dist += _ssd(ctx.orig[plane][:, y:y + s, x:x + s], recon)
+        # a TU with a nonzero DC level adds dc_bits and the level's code
+        extra = table.dc_bits[:, rows, cols] + ue_lengths(se_to_ue(dc))
+        bits += int(table.bits[:, rows, cols].sum()
+                    + extra[dc != 0].sum())
+    return leaf, bits, dist
+
+
+def _candidates(ctx: _FrameCtx, tables: _RowTables, rect: BlockRect):
+    """A searched node's candidate leaves, each (leaf, bits after the split
+    flag, SSD), in the order that implements the tie-break preference
+    GLOBAL_WARP > INTER_MV > INTRA_DC."""
+    intra = _intra_leaf(ctx, tables, rect)
+    if tables.warp is None:
+        return [intra]
+    return [_warp_leaf(tables, rect), tables.mv[rect], intra]
+
+
+def _search_node(ctx: _FrameCtx, rect: BlockRect, tables: _RowTables):
     """RD-search one quadtree node; returns (tree, bits, dist) and leaves the
     chosen tree's reconstruction in the working recon planes.  The search
     reads those planes only above and left of `rect` (the INTRA_DC
@@ -527,23 +677,18 @@ def _search_node(ctx: _FrameCtx, rect: BlockRect, tables: dict):
     if rect.size > MIN_BLOCK and not flag:  # a partial node: always split
         return _search_split(ctx, rect, tables)
 
-    # an INTER frame's tables hold each node it searches; any other full
-    # node is texture-forced: no RD, no split
-    if ctx.frame_type == INTER_FRAME and rect not in tables:
+    # an INTER frame searches the nodes its INTER_MV table holds; any other
+    # full node is texture-forced: no RD, no split
+    if ctx.frame_type == INTER_FRAME and rect not in tables.mv:
         leaf = _Leaf(mode=BlockMode.TEXTURE)
         blocks = _reconstruct_leaf(ctx, leaf, rect)
         _paste(ctx, rect, blocks)
-        dist = sum(int(_ssd(_block(ctx.orig, p, rect), blocks[p]))
-                   for p in blocks)
+        dist = sum(_ssd(_block(ctx.orig, p, rect), blocks[p]) for p in blocks)
         return leaf, _leaf_bits(leaf, flag), dist
 
-    intra = _Leaf(mode=BlockMode.INTRA_DC)
-    (intra_bits,), (intra_dist,) = _code_leaves(ctx, [intra], [rect])
-    # candidate order implements the tie-break preference:
     # TEXTURE > GLOBAL_WARP > INTER_MV > INTRA_DC > SPLIT (strict < to replace)
     best = None
-    for leaf, bits, dist in (*tables.get(rect, ()),
-                             (intra, intra_bits, intra_dist)):
+    for leaf, bits, dist in _candidates(ctx, tables, rect):
         bits += flag
         cost = dist + ctx.rd_lambda * bits
         if best is None or cost < best[0]:
@@ -670,8 +815,11 @@ def _encode(seq: Sequence, masks,
     if any(c.texture_mode for c in configs) and (
             masks is None or len(masks) != len(seq)):
         raise ValueError("texture_mode requires one mask per frame")
+    pw, ph = pad16(seq.width), pad16(seq.height)
+    if pw * ph > MAX_FRAME_AREA:
+        raise ValueError(f"padded frame {pw}x{ph} exceeds {MAX_FRAME_AREA} "
+                         f"luma samples")
     padded = [pad_frame(f) for f in seq]
-    pw, ph = padded[0].width, padded[0].height
     if masks is not None:
         for f, m in zip(padded, masks):
             if (m.grid_h, m.grid_w) != (ph // BLOCK, pw // BLOCK):
@@ -696,16 +844,17 @@ def _encode(seq: Sequence, masks,
     head = _FILE_HEADER.pack(MAGIC, VERSION, seq.width, seq.height,
                              len(seq), first.gf_group_size,
                              _MODEL_CODE[first.model_kind])
+    head_crc = _U32.pack(zlib.crc32(head))
     return [EncodeResult(
         bitstream=b"".join([head, *(f.data for f in frames),
-                            *(_U32.pack(f.crc) for f in frames)]),
+                            *(_U32.pack(f.crc) for f in frames), head_crc]),
         frame_stats=[f.stats for f in frames],
         reconstructions=[f.recon for f in frames],
         traces=[f.trace for f in frames]) for frames in coded]
 
 
 def encode_sequence(seq: Sequence, masks, config: EncoderConfig) -> EncodeResult:
-    """Encode a sequence; returns the TXC1 bitstream, per-frame stats, the
+    """Encode a sequence; returns the TXC1 v2 bitstream, per-frame stats, the
     encoder-side reconstructions and a (rect, mode) trace per frame."""
     return _encode(seq, masks, [config])[0]
 
@@ -741,8 +890,9 @@ def _read(layout: struct.Struct, data: bytes, pos: int, what: str):
 
 
 def decode_sequence(data: bytes) -> DecodeResult:
-    """Decode a TXC1 file.  Every frame record and the CRC footer are
-    checked to lie within `data` before any frame is decoded."""
+    """Decode a TXC1 v2 file.  Every frame record and the CRC footer are
+    checked to lie within `data`, and the file header against its CRC,
+    before any frame is decoded."""
     (magic, version, width, height, n_frames, gf, model_code), pos = _read(
         _FILE_HEADER, data, 0, "file header")
     if magic != MAGIC:
@@ -754,6 +904,9 @@ def decode_sequence(data: bytes) -> DecodeResult:
     if model_code not in _MODEL_FROM_CODE:
         raise BitstreamError(f"unknown motion model code {model_code}")
     pw, ph = pad16(width), pad16(height)
+    if pw * ph > MAX_FRAME_AREA:
+        raise BitstreamError(f"frame area {pw}x{ph} exceeds {MAX_FRAME_AREA} "
+                             f"luma samples")
     # every superblock codes at least one leaf mode
     min_payload_bits = MODE_BITS * -(-pw // SUPERBLOCK) * -(-ph // SUPERBLOCK)
     records = []  # per frame: type, q_level, motion, payload start and end
@@ -777,9 +930,11 @@ def decode_sequence(data: bytes) -> DecodeResult:
         records.append((ftype, q_level, m, pos, pos + plen))
         pos += plen
     crcs = []
-    for _ in range(n_frames):
+    for _ in range(n_frames + 1):  # each frame's, then the file header's
         (crc,), pos = _read(_U32, data, pos, "CRC footer")
         crcs.append(crc)
+    if crcs.pop() != zlib.crc32(data[:_FILE_HEADER.size]):
+        raise BitstreamError("file header CRC mismatch")
 
     prev_recon = key_recon = None
     recons, frames = [], []

@@ -1,11 +1,24 @@
-"""Residual transform coding: orthonormal 2-D DCT-II, uniform quantization
-and zig-zag scan orders.  The transforms and scans act on the last two axes,
-so a stack of blocks is coded in one call.
+"""Residual transform coding: HEVC's 16- and 8-point integer core transforms,
+uniform quantization and zig-zag scan orders.  The transforms and scans act
+on the last two axes, so a stack of blocks is coded in one call.
 
-Quantization uses a direct step mapping (q_step = q_level) and rounds half
-away from zero.  The per-coefficient reconstruction error is bounded by
-q_step/2; the spatial-domain error after the inverse transform can exceed
-that bound because coefficient errors superpose.
+The n-point core matrix `core_matrix(n)` (Budagavi et al., "Core Transform
+Design in the HEVC Standard", IEEE JSTSP 2013) has integer entries of
+magnitude at most 90: row 0 is all 64, and every other row sums to exactly
+0.  Its rows are nearly orthogonal with squared norms of about 4096·n, so
+the forward transform `T @ X @ T.T` is about 2**shift(n) times the
+orthonormal DCT, with shift(16) = 16 and shift(8) = 15.
+
+- Forward: the exact integer coefficients `T @ X @ T.T`.
+- Quantization: round half away from zero, in integers, with the step
+  `q_step << shift(n)`; `q_step` = q_level.
+- Inverse: `(T.T @ (levels * q_step) @ T + 2**(shift-1)) >> shift`, one
+  rounding shift after both passes.
+
+Every product is computed as a float64 matmul, which is exact: the operands
+are integers and every partial sum is an integer below 2**53 (the inverse's
+sums stay below 16·16·90·90·4080·63 < 2**39), whatever order the BLAS kernel
+adds them in.  So encoder and decoder agree on any machine.
 """
 
 from __future__ import annotations
@@ -13,25 +26,80 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import dctn, idctn
+
+# HEVC's integer approximations of 64·√2·cos(mπ/32), m = 0..16; the DC row
+# uses 64 instead of m = 0's 90.
+_COS = (90, 90, 89, 87, 83, 80, 75, 70, 64, 57, 50, 43, 36, 25, 18, 9, 0)
+# the value every DC-row entry takes
+DC_BASIS = 64
+
+
+@lru_cache(maxsize=None)
+def core_matrix(n: int) -> np.ndarray:
+    """The n-point HEVC core matrix (n = 16 or 8) as read-only float64:
+    entry (k, j) approximates 64·√2·cos(kπ(2j+1)/(2n)) for k > 0."""
+    if n not in (8, 16):
+        raise ValueError(f"no {n}-point core transform")
+    t = np.full((n, n), DC_BASIS, np.float64)
+    for k in range(1, n):
+        for j in range(n):
+            m = (16 // n) * k * (2 * j + 1) % 64  # angle in units of π/32
+            m = min(m, 64 - m)  # cos(2π - a) = cos(a)
+            t[k, j] = -_COS[32 - m] if m > 16 else _COS[m]  # cos(π - a)
+    t.flags.writeable = False
+    return t
+
+
+def shift(n: int) -> int:
+    """log2 of the n-point transform's 2-D gain: 12 + log2(n)."""
+    return 11 + n.bit_length()
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """a @ b @ c as int64, exact for integer operands: see the module
+    docstring."""
+    return (a @ np.asarray(b, np.float64) @ c).astype(np.int64)
 
 
 def forward_transform(residual: np.ndarray) -> np.ndarray:
-    return dctn(residual.astype(np.float64), norm="ortho", axes=(-2, -1))
+    """The exact integer coefficients T @ X @ T.T of (..., n, n) blocks."""
+    t = core_matrix(np.shape(residual)[-1])
+    return _matmul(t, residual, t.T)
+
+
+def inverse_sums(coeffs: np.ndarray) -> np.ndarray:
+    """T.T @ C @ T of (..., n, n) dequantized coefficients: the inverse
+    transform's integer sums before its rounding shift."""
+    t = core_matrix(np.shape(coeffs)[-1])
+    return _matmul(t.T, coeffs, t)
+
+
+def round_shift(sums: np.ndarray, n: int) -> np.ndarray:
+    """The n-point inverse's one rounding shift of its integer sums."""
+    s = shift(n)
+    return (sums + (1 << (s - 1))) >> s
 
 
 def inverse_transform(coeffs: np.ndarray) -> np.ndarray:
-    """Inverse DCT rounded to integer residual samples."""
-    return np.rint(idctn(np.asarray(coeffs, np.float64), norm="ortho",
-                         axes=(-2, -1))).astype(np.int64)
+    """Integer residual samples of (..., n, n) dequantized coefficients."""
+    return round_shift(inverse_sums(coeffs), np.shape(coeffs)[-1])
 
 
-def quantize(coeffs: np.ndarray, q_step: int) -> np.ndarray:
-    """Uniform quantizer, round half away from zero; returns integer levels."""
+def quantize(coeffs: np.ndarray, step: int) -> np.ndarray:
+    """Uniform quantizer of integer coefficients by an even integer step,
+    round half away from zero; returns int64 levels."""
+    if step < 2 or step & 1:
+        raise ValueError("step must be even and >= 2")
+    c = np.asarray(coeffs, np.int64)
+    mag = (np.abs(c) + (step >> 1)) // step
+    return np.where(c < 0, -mag, mag)
+
+
+def quant_step(q_step: int, n: int) -> int:
+    """The quantizer step of an n-point TU's coefficients at `q_step`."""
     if q_step < 1:
         raise ValueError("q_step must be >= 1")
-    c = np.asarray(coeffs, np.float64)
-    return (np.sign(c) * np.floor(np.abs(c) / q_step + 0.5)).astype(np.int64)
+    return q_step << shift(n)
 
 
 def dequantize(levels: np.ndarray, q_step: int) -> np.ndarray:
@@ -39,7 +107,8 @@ def dequantize(levels: np.ndarray, q_step: int) -> np.ndarray:
 
 
 def transform_quantize(residual: np.ndarray, q_step: int) -> np.ndarray:
-    return quantize(forward_transform(residual), q_step)
+    return quantize(forward_transform(residual),
+                    quant_step(q_step, np.shape(residual)[-1]))
 
 
 def reconstruct_residual(levels: np.ndarray, q_step: int) -> np.ndarray:

@@ -8,20 +8,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from crafted_streams import huge_level_tu, single_tu_stream
+from crafted_streams import container, huge_level_tu, single_tu_stream
 from search_oracle import diamond_search
 from texture_oracle import is_texture_block_oracle
 from texcodec.analyzer import TextureMask, all_texture_mask
 from texcodec.bitio import BitReader, BitstreamError, BitWriter, se_to_ue
-from texcodec.codec import (_TU, INTER_FRAME, KEY_FRAME, MAGIC, MAX_LEVEL,
-                            MIN_BLOCK, SUPERBLOCK, VERSION, BlockMode,
-                            EncoderConfig, _FrameCtx, _Leaf, _apply_leaf,
-                            _encode, _estimate_frame_motion, _leaf_bits,
-                            _plane_rect, _prediction, _q16, _q16_motion,
-                            _read_coeffs, _reconstruct_leaf, _row_tables,
-                            _search_node, _superblock_rows, _tiles,
-                            decode_sequence, encode_sequence,
-                            is_texture_block)
+from texcodec.codec import (_TU, INTER_FRAME, KEY_FRAME, MAX_FRAME_AREA,
+                            MAX_LEVEL, MIN_BLOCK, SUPERBLOCK, BlockMode,
+                            EncoderConfig, _candidates, _encode,
+                            _estimate_frame_motion, _FrameCtx, _Leaf,
+                            _apply_leaf, _leaf_bits, _plane_rect, _prediction,
+                            _q16, _q16_motion, _read_coeffs,
+                            _reconstruct_leaf, _row_tables, _search_node,
+                            _superblock_rows, _tiles, decode_sequence,
+                            encode_sequence, is_texture_block)
 from texcodec.datasets import NON_TEXTURE, TEXTURE
 from texcodec.frames import BLOCK, BlockRect, Frame, Sequence, pad16, pad_frame
 from texcodec.motion import AffineMotion, MotionModelKind
@@ -245,7 +245,8 @@ def test_bits_accounting_matches_file_size():
     seq, masks = panning_texture_sequence(width=96, height=64, n_frames=6,
                                           seed=9)
     enc = encode_sequence(seq, masks, EncoderConfig(gf_group_size=4))
-    container = struct.calcsize("<4sBHHHBB") + 4 * len(seq)  # header + CRCs
+    # the file header, then the footer: a CRC per frame and the header's
+    container = struct.calcsize("<4sBHHHBB") + 4 * (len(seq) + 1)
     assert sum(s.bits for s in enc.frame_stats) + 8 * container == \
         8 * len(enc.bitstream)
 
@@ -317,12 +318,12 @@ def test_oversized_level_is_a_bitstream_error():
 
 
 def test_short_payload_rejected_before_allocating():
-    # 4096x4096 has 4096 superblocks, so a payload needs >= 8192 bits; the
-    # 1-byte one must be refused before the 24 MB of frame planes exist
-    data = (struct.pack("<4sBHHHBB", MAGIC, VERSION, 4096, 4096, 1, 8, 1)
-            + struct.pack("<BB", KEY_FRAME, 24)
-            + struct.pack("<I", 1) + b"\x00" + struct.pack("<I", 0))
-    assert len(data) == 24
+    # 4096x2176, the largest area a header may declare, has 2176
+    # superblocks, so a payload needs >= 4352 bits; the 1-byte one must be
+    # refused before the 13 MB of frame planes exist
+    data = container(4096, 2176, struct.pack("<BB", KEY_FRAME, 24)
+                     + struct.pack("<I", 1) + b"\x00", (0,))
+    assert 4096 * 2176 == MAX_FRAME_AREA and len(data) == 28
     tracemalloc.start()
     try:
         with pytest.raises(BitstreamError, match="payload"):
@@ -331,6 +332,43 @@ def test_short_payload_rejected_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_frame_area_above_the_bound_rejected_before_allocating():
+    # a header may not declare a padded area above MAX_FRAME_AREA, however
+    # long its payload; the encoder refuses to write one
+    for width, height in ((4096, 2177), (4112, 2176), (0xFFFF, 0xFFFF)):
+        data = container(width, height, struct.pack("<BB", KEY_FRAME, 24)
+                         + struct.pack("<I", 1 << 20) + bytes(1 << 20), (0,))
+        tracemalloc.start()
+        try:
+            with pytest.raises(BitstreamError, match="frame area"):
+                decode_sequence(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+    seq = Sequence(frames=(Frame(y=np.zeros((2177, 4096), np.uint8),
+                                 uv=np.zeros((2, 1089, 2048), np.uint8)),))
+    with pytest.raises(ValueError, match="exceeds"):
+        encode_sequence(seq, None, EncoderConfig(texture_mode=False))
+
+
+def test_decode_rejects_version_1_and_a_changed_file_header():
+    # version 1 streams used a float DCT; v2 covers the file header with
+    # the footer's last CRC
+    seq = random_sequence(32, 32, 2, seed=11)
+    data = encode_sequence(seq, None,
+                           EncoderConfig(texture_mode=False)).bitstream
+    with pytest.raises(BitstreamError, match="unsupported .* version 1"):
+        decode_sequence(data[:4] + b"\x01" + data[5:])
+    for offset, value in ((9, 1),    # frame_count 2 -> 1
+                          (11, 5),   # gf 8 -> 5: frame 1 stays INTER
+                          (12, 2)):  # rotzoom -> affine
+        changed = bytearray(data)
+        changed[offset] = value
+        with pytest.raises(BitstreamError, match="file header CRC"):
+            decode_sequence(bytes(changed))
 
 
 def test_encoder_config_validation():
@@ -578,11 +616,16 @@ def _reference_searched(ctx, rect, cfg, cur_mask, ref_mask):
 
 
 def test_rd_tables_match_per_node_reference():
-    # every searched node's GLOBAL_WARP and INTER_MV table entry equals a
-    # build at that node alone, in mode, MV, levels, reconstruction, bits
-    # and SSD; clips with partial superblocks, texture mode off and on (only
-    # the 144x80 clip has texture-forced nodes)
-    n_nodes = n_forced = 0
+    # every searched node's candidates from the row tables equal a build at
+    # that node alone, in mode, MV, levels, reconstruction, bits and SSD:
+    # GLOBAL_WARP, INTER_MV and INTRA_DC in INTER frames, INTRA_DC in KEY
+    # frames; clips with partial superblocks, texture mode off and on (only
+    # the 144x80 clip has texture-forced nodes).  The working planes hold
+    # arbitrary samples, as INTRA_DC reads its neighbours there.
+    rng = np.random.default_rng(46)
+    n_nodes = n_forced = n_key = 0
+    inter_modes = (BlockMode.GLOBAL_WARP, BlockMode.INTER_MV,
+                   BlockMode.INTRA_DC)
     for size, q, texture in itertools.product(
             ((80, 48), (144, 80)), (1, 24, 63), (False, True)):
         seq, masks = panning_texture_sequence(*size, n_frames=4, seed=3)
@@ -590,26 +633,42 @@ def test_rd_tables_match_per_node_reference():
         pw, ph = padded[0].width, padded[0].height
         cfg = EncoderConfig(q_level=q, gf_group_size=4, texture_mode=texture)
         recons = encode_sequence(seq, masks, cfg).reconstructions
-        for i in (1, 2, 3):
+        for i in (0, 1, 2, 3):
             cur_mask = masks[i] if texture else None
-            m = _q16_motion(_estimate_frame_motion(padded[i], recons[0],
-                                                   cur_mask, cfg))
-            ctx = _FrameCtx(pw, ph, cfg.q_step, INTER_FRAME,
-                            key_recon=recons[0], prev_recon=recons[i - 1],
-                            motion=m, orig=padded[i], rd_lambda=cfg.rd_lambda)
+            if i == 0:
+                ctx = _FrameCtx(pw, ph, cfg.q_step, KEY_FRAME,
+                                orig=padded[0], rd_lambda=cfg.rd_lambda)
+            else:
+                m = _q16_motion(_estimate_frame_motion(padded[i], recons[0],
+                                                       cur_mask, cfg))
+                ctx = _FrameCtx(pw, ph, cfg.q_step, INTER_FRAME,
+                                key_recon=recons[0], prev_recon=recons[i - 1],
+                                motion=m, orig=padded[i],
+                                rd_lambda=cfg.rd_lambda)
+            for a in ctx.recon.values():
+                a[:] = rng.integers(0, 256, a.shape, dtype=np.uint8)
             for row in _superblock_rows(ctx):
                 tables = _row_tables(ctx, row, cfg, cur_mask, masks[0])
-                want = [n for sb in row for n in _reference_searched(
-                    ctx, sb, cfg, cur_mask, masks[0])]
-                assert set(tables) == set(want)
-                # nodes that texture mode takes out of the search
-                n_forced += len([n for sb in row for n in _reference_searched(
-                    ctx, sb, cfg, None, None)]) - len(want)
+                if i == 0:
+                    assert tables.mv == {}
+                    want = [n for sb in row for n in _reference_searched(
+                        ctx, sb, cfg, None, None)]
+                    modes = (BlockMode.INTRA_DC,)
+                    n_key += len(want)
+                else:
+                    want = [n for sb in row for n in _reference_searched(
+                        ctx, sb, cfg, cur_mask, masks[0])]
+                    assert set(tables.mv) == set(want)
+                    # nodes that texture mode takes out of the search
+                    n_all = sum(len(_reference_searched(ctx, sb, cfg, None,
+                                                        None)) for sb in row)
+                    n_forced += n_all - len(want)
+                    modes = inter_modes
+                    n_nodes += len(want)
                 for rect in want:
-                    n_nodes += 1
-                    got = tables[rect]
-                    for (leaf, bits, dist), mode in zip(
-                            got, (BlockMode.GLOBAL_WARP, BlockMode.INTER_MV)):
+                    got = _candidates(ctx, tables, rect)
+                    assert len(got) == len(modes)
+                    for (leaf, bits, dist), mode in zip(got, modes):
                         ref, ref_bits, ref_dist = _reference_leaf(
                             ctx, mode, rect)
                         assert (leaf.mode, leaf.mv, bits, dist) == (
@@ -619,4 +678,4 @@ def test_rd_tables_match_per_node_reference():
                                                   ref.levels[plane])
                             assert np.array_equal(leaf.recon[plane],
                                                   ref.recon[plane])
-    assert n_nodes > 0 and n_forced > 0
+    assert n_nodes > 0 and n_forced > 0 and n_key > 0

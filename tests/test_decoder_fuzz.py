@@ -6,6 +6,7 @@ never another exception, and its tracemalloc peak stays bounded."""
 import functools
 import struct
 import tracemalloc
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +14,9 @@ from hypothesis import strategies as st
 
 from texcodec import codec
 from texcodec.bitio import BitstreamError
-from texcodec.codec import (INTER_FRAME, KEY_FRAME, EncoderConfig,
-                            decode_sequence, encode_sequence)
+from texcodec.codec import (INTER_FRAME, KEY_FRAME, MAX_FRAME_AREA,
+                            EncoderConfig, decode_sequence, encode_sequence)
+from texcodec.frames import pad16
 from texcodec.sequences import panning_texture_sequence, random_sequence
 
 FILE_HEADER = "<4sBHHHBB"
@@ -35,6 +37,14 @@ def _streams():
                         EncoderConfig(q_level=16,
                                       texture_mode=False)).bitstream,
     )
+
+
+def _sealed(stream: bytearray) -> bytes:
+    """`stream` with the footer's last CRC made that of its file header
+    again, so that a changed header field reaches the decoder's checks."""
+    struct.pack_into("<I", stream, len(stream) - 4,
+                     zlib.crc32(stream[:struct.calcsize(FILE_HEADER)]))
+    return bytes(stream)
 
 
 def _layout(data):
@@ -146,10 +156,30 @@ _FILE_FIELDS = {  # field -> (offset, struct format, values)
 @SETTINGS
 @given(streams, st.sampled_from(sorted(_FILE_FIELDS)), st.data())
 def test_file_header_field_sweeps(which, field, data):
+    # the header CRC is made to match, so each value reaches the decoder
     stream = bytearray(_streams()[which])
     offset, fmt, values = _FILE_FIELDS[field]
     struct.pack_into(fmt, stream, offset, data.draw(values))
-    _decode_traced(bytes(stream))
+    _decode_traced(_sealed(stream))
+
+
+@SETTINGS
+@given(streams, st.integers(137, 0xFFFF), st.data())
+def test_frame_area_above_the_bound_is_rejected(which, width, data):
+    # sizes past the sweeps above: any padded area over MAX_FRAME_AREA is
+    # refused before a plane is allocated, even with a matching header CRC
+    height = data.draw(st.integers(MAX_FRAME_AREA // pad16(width) + 1,
+                                   0xFFFF))
+    stream = bytearray(_streams()[which])
+    struct.pack_into("<HH", stream, _FILE_FIELDS["width"][0], width, height)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BitstreamError, match="frame area"):
+            decode_sequence(_sealed(stream))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @SETTINGS
@@ -218,3 +248,13 @@ def test_frame_types_follow_the_header_gf():
         with pytest.raises(BitstreamError,
                            match="bad frame type 0 of frame 4"):
             decode_sequence(_with_byte(data, _FILE_FIELDS["gf"][0], gf))
+
+
+@pytest.mark.parametrize("gf", [5, 9, 16])
+def test_changed_gf_that_fits_every_frame_type_is_rejected(gf):
+    # the baseline stream has gf 8 and 5 frames, so gf 5, 9 or 16 leaves
+    # every frame's type legal: the header CRC catches it
+    data = _streams()[1]
+    assert data[_FILE_FIELDS["gf"][0]] == 8
+    with pytest.raises(BitstreamError, match="file header CRC mismatch"):
+        decode_sequence(_with_byte(data, _FILE_FIELDS["gf"][0], gf))

@@ -1,4 +1,4 @@
-"""Behaviour pins: SHA-256 of TXC1 bitstreams and leaf traces, and the rates
+"""Behaviour pins: SHA-256 of TXC1 v2 bitstreams and leaf traces, and the rates
 of an RD sweep, for small fixed inputs; and of the analysis side's outputs:
 trained weights, segmentation masks and Y4M bytes.  A refactor that keeps
 the format must keep these values; a deliberate format change bumps the
@@ -37,18 +37,18 @@ def test_pin_texture_mode_bitstream(pan_clip):
     seq, masks = pan_clip
     enc = encode_sequence(seq, masks, EncoderConfig(gf_group_size=4))
     assert _sha(enc.bitstream) == (
-        "2cb8ce05b659e592927a29a699a8ed3e7d7d68541036e816fd0f734084e4535d")
+        "fe28284aa13f1417f31a84bef0ca402844449b67209047e23be8c51d2f013265")
     assert _trace_sha(enc) == (
-        "da373575aeadd3854bc1c7b1c688a99dfd55f047590fc2012c81e5cc1974024e")
+        "736766b65d557711541d5e485680155294a06166bf5b6c34ee285a8221977e94")
 
 
 def test_pin_baseline_bitstream(pan_clip):
     seq, _ = pan_clip
     enc = encode_sequence(seq, None, EncoderConfig(texture_mode=False))
     assert _sha(enc.bitstream) == (
-        "3084f1f541f1eb6608a2404f38b2b76d27b7d18fe0b016bade7299bd2b030363")
+        "beee5f003c3acfadd92bfdfcfb982ffd306c312c27747949dfb20d3d1b9bdc86")
     assert _trace_sha(enc) == (
-        "f978e2ae14be1a50461eafc95e980d6abaee7cb7889968d2013ffdbb6b124e41")
+        "39a14a67c701f3b2b2c8a511224d818d5c7a0470e5c10305a2e953cb1e08f4ac")
 
 
 def test_pin_partial_superblocks_bitstream():
@@ -56,17 +56,17 @@ def test_pin_partial_superblocks_bitstream():
     enc = encode_sequence(seq, None,
                           EncoderConfig(q_level=16, texture_mode=False))
     assert _sha(enc.bitstream) == (
-        "ab927ee2c6ed3e517c6456d83885af68a12dda4770de71f83fa57f6a66e05dd9")
+        "53360c44236b22d34bc874a05b86f7d24cc1ab84771899cb59769b795683937d")
     assert _trace_sha(enc) == (
-        "ccb674dc0990c53440e603d2565375fdee9faf8e5e54b0d885b429523381b98c")
+        "0f6f31933f1f294e3eadded8310c820a08e9c34ab60a46b5cffdf75def2c09cb")
 
 
 def test_pin_rd_sweep_rates():
     seq, masks = panning_texture_sequence(64, 64, n_frames=2, seed=3)
     report = rd_sweep(seq, masks, base_config=EncoderConfig(gf_group_size=8))
     rates = [(r["rate_baseline"], r["rate_texture"]) for r in report["levels"]]
-    assert rates == [(17132, 17236), (13416, 13568), (12060, 12240),
-                     (11048, 11192)]
+    assert rates == [(17184, 17248), (13488, 13632), (12060, 12252),
+                     (11060, 11232)]
 
 
 @pytest.fixture(scope="module")

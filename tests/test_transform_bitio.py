@@ -1,13 +1,14 @@
-"""Residual transform/quantization and Exp-Golomb bit I/O."""
+"""Residual integer transform/quantization and Exp-Golomb bit I/O."""
 
 import numpy as np
 import pytest
 
 from texcodec.bitio import BitReader, BitstreamError, BitWriter, se_to_ue
-from texcodec.transform import (dequantize, forward_transform,
-                                inverse_transform, quantize,
-                                reconstruct_residual, scan, transform_quantize,
-                                unscan, zigzag_order)
+from texcodec.codec import MAX_LEVEL
+from texcodec.transform import (DC_BASIS, core_matrix, forward_transform,
+                                inverse_sums, inverse_transform, quant_step,
+                                quantize, reconstruct_residual, scan, shift,
+                                transform_quantize, unscan, zigzag_order)
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +74,36 @@ def test_bit_reader_exhaustion():
 # transform
 
 
+def test_core_matrices():
+    # HEVC's core matrices: integer entries of magnitude <= 90, a DC row of
+    # 64s, AC rows that sum to exactly 0, the 8-point matrix as the even
+    # rows of the 16-point one's left half, and L1 row norms <= 64·n
+    for n in (16, 8):
+        t = core_matrix(n)
+        assert np.array_equal(t, np.rint(t)) and np.abs(t).max() <= 90
+        assert DC_BASIS == 64 and np.all(t[0] == 64)
+        assert np.all(t[1:].sum(axis=1) == 0)
+        assert np.abs(t).sum(axis=1).max() == 64 * n
+        # nearly orthogonal: T @ T.T is about 4096·n times the identity
+        g = t @ t.T
+        assert np.abs(g - 4096 * n * np.eye(n)).max() <= 200
+    assert np.array_equal(core_matrix(16)[::2, :8], core_matrix(8))
+    assert (shift(16), shift(8)) == (16, 15)
+
+
+def test_max_level_follows_from_l1_norms():
+    # |coefficient| <= 255·(64·n)**2 and the step is >= 2**shift(n), so
+    # |level| <= 255·1024**2 / 2**16 = 4080 at 16x16 and 2040 at 8x8; a
+    # constant block of 255 attains it
+    assert MAX_LEVEL == 255 * 1024 ** 2 // 2 ** 16 == 4080
+    for n, bound in ((16, 4080), (8, 2040)):
+        for sign in (1, -1):
+            levels = transform_quantize(np.full((n, n), sign * 255), 1)
+            assert levels[0, 0] == sign * bound
+        r = np.random.default_rng(6).choice([-255, 255], (500, n, n))
+        assert np.abs(transform_quantize(r, 1)).max() <= bound
+
+
 def test_zero_residual_roundtrip():
     z = np.zeros((16, 16), np.int64)
     levels = transform_quantize(z, 16)
@@ -81,48 +112,80 @@ def test_zero_residual_roundtrip():
 
 
 def test_constant_residual_dc_closed_form():
-    # orthonormal 2-D DCT of a constant c on 16x16: DC = 16*c, rest 0
+    # the AC rows sum to 0: a constant residual c has exactly zero AC
+    # coefficients and the DC coefficient 64**2·n**2·c, so adding c to any
+    # block changes its DC coefficient alone
+    rng = np.random.default_rng(7)
+    for n in (16, 8):
+        x = rng.integers(-200, 200, (n, n))
+        for c in (-255, -1, 1, 16, 255):
+            coeffs = forward_transform(np.full((n, n), c))
+            assert coeffs[0, 0] == 4096 * n * n * c
+            assert np.all(coeffs.flat[1:] == 0)
+            diff = forward_transform(x + c) - forward_transform(x)
+            assert diff[0, 0] == 4096 * n * n * c
+            assert np.all(diff.flat[1:] == 0)
     r = np.full((16, 16), 16, np.int64)
-    coeffs = forward_transform(r)
-    assert coeffs[0, 0] == pytest.approx(256.0)
-    assert np.max(np.abs(coeffs.flat[1:])) < 1e-9
     levels = transform_quantize(r, 16)
-    assert levels[0, 0] == 16
+    assert levels[0, 0] == 16  # 2**20·16 / (16·2**16)
     assert np.count_nonzero(levels) == 1
     assert np.array_equal(reconstruct_residual(levels, 16), r)
 
 
 def test_quantizer_coefficient_error_bound():
-    # per-coefficient reconstruction error is bounded by q_step/2
+    # per-coefficient reconstruction error is bounded by step/2, where the
+    # step is q_step·2**shift(n)
     rng = np.random.default_rng(1)
-    for q in (1, 4, 16):
-        c = rng.uniform(-300, 300, (16, 16))
-        err = np.abs(dequantize(quantize(c, q), q) - c)
-        assert err.max() <= q / 2 + 1e-9
+    for n in (16, 8):
+        for q in (1, 4, 16):
+            step = quant_step(q, n)
+            assert step == q << shift(n)
+            c = rng.integers(-255 * 2 ** 20, 255 * 2 ** 20, (n, n))
+            err = np.abs(quantize(c, step) * step - c)
+            assert err.max() <= step // 2
 
 
 def test_quantize_rounds_half_away_from_zero():
-    assert quantize(np.array([24.0]), 16)[0] == 2    # 1.5 -> 2
-    assert quantize(np.array([-24.0]), 16)[0] == -2
-    assert quantize(np.array([8.0]), 16)[0] == 1     # 0.5 -> 1
-    assert quantize(np.array([7.99]), 16)[0] == 0
+    assert quantize(np.array([24]), 16)[0] == 2    # 1.5 -> 2
+    assert quantize(np.array([-24]), 16)[0] == -2
+    assert quantize(np.array([8]), 16)[0] == 1     # 0.5 -> 1
+    assert quantize(np.array([-8]), 16)[0] == -1
+    assert quantize(np.array([7]), 16)[0] == 0
+    for step in (0, 1, 15):
+        with pytest.raises(ValueError):
+            quantize(np.zeros((2, 2)), step)
     with pytest.raises(ValueError):
-        quantize(np.zeros((2, 2)), 0)
+        quant_step(0, 16)
 
 
 def test_random_residual_roundtrip_fine_quantizer():
-    # spatial-domain error can exceed the per-coefficient q/2 bound because
-    # coefficient errors superpose; at q=1 it stays small
+    # at q=1 the spatial error comes from the basis: its rows are only
+    # nearly orthogonal (test_core_matrices), and coefficient errors
+    # superpose.  Over 2 000 random +-255 blocks it stays within 4 at 16x16
+    # and 2 at 8x8
     rng = np.random.default_rng(2)
-    r = rng.integers(-255, 256, (16, 16))
-    back = reconstruct_residual(transform_quantize(r, 1), 1)
-    assert np.max(np.abs(back - r)) <= 2
+    for n, bound in ((16, 4), (8, 2)):
+        r = rng.integers(-255, 256, (2000, n, n))
+        back = reconstruct_residual(transform_quantize(r, 1), 1)
+        assert np.abs(back - r).max() <= bound
 
 
 def test_inverse_transform_integer_rounding():
+    # the inverse's float64 matmuls are exact: they equal Python-integer
+    # sums, shifted once with rounding, for levels up to MAX_LEVEL at q 63
     rng = np.random.default_rng(3)
-    r = rng.integers(-100, 100, (8, 8))
-    assert np.array_equal(inverse_transform(forward_transform(r)), r)
+    for n in (16, 8):
+        t = core_matrix(n).astype(np.int64).tolist()
+        c = rng.integers(-MAX_LEVEL * 63, MAX_LEVEL * 63 + 1, (n, n))
+        c[0, 0] = MAX_LEVEL * 63
+        exact = [[sum(t[k][i] * int(c[k, l]) * t[l][j]
+                      for k in range(n) for l in range(n))
+                  for j in range(n)] for i in range(n)]
+        assert np.array_equal(inverse_sums(c), exact)
+        half = 1 << (shift(n) - 1)
+        assert np.array_equal(inverse_transform(c),
+                              [[(v + half) >> shift(n) for v in row]
+                               for row in exact])
 
 
 # ---------------------------------------------------------------------------
