@@ -212,6 +212,9 @@ def build_parser() -> argparse.ArgumentParser:
     models = [k.value for k in MotionModelKind]
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
+    # encode and rd-sweep pass --seed to the encoder as its motion_seed
+    motion_seed = argparse.ArgumentParser(add_help=False)
+    motion_seed.add_argument("--seed", type=int, default=enc.motion_seed)
     size = argparse.ArgumentParser(add_help=False)
     size.add_argument("--size", default=None, help="WxH for raw .yuv inputs")
     io_common = argparse.ArgumentParser(add_help=False, parents=[size])
@@ -259,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the fit's inliers and residual to stderr")
     m.set_defaults(func=_cmd_motion)
 
-    e = sub.add_parser("encode", parents=[common, io_common],
+    e = sub.add_parser("encode", parents=[motion_seed, io_common],
                        help="encode a sequence to a TXC1 bitstream")
     e.add_argument("--input", required=True)
     e.add_argument("--masks", default=None)
@@ -276,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--out", required=True)
     d.set_defaults(func=_cmd_decode)
 
-    r = sub.add_parser("rd-sweep", parents=[common, io_common],
+    r = sub.add_parser("rd-sweep", parents=[motion_seed, io_common],
                        help="baseline-vs-texture RD sweep with BD metrics")
     r.add_argument("--input", required=True)
     r.add_argument("--masks", required=True)

@@ -7,7 +7,7 @@ and a decoder that is bit-exact by construction.  Texture blocks are forced
 (no RD, no further split) to GLOBAL_WARP prediction from the group's
 KEY-frame reconstruction with zero residual; the texture motion parameters
 ride in the uncompressed frame header.  See docs/bitstream.md for the exact
-"TXC1" version 2 layout.
+"TXC1" version 3 layout.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .analyzer import TextureMask, all_texture_mask
-from .bitio import (BitReader, BitstreamError, BitWriter, se_to_ue, ue_bits,
-                    ue_lengths, ue_to_se)
+from .bitio import (BitReader, BitstreamError, BitWriter, UePartsReader,
+                    se_to_ue, ue_bits, ue_lengths, ue_parts, ue_to_se)
 from .datasets import TEXTURE as TEXTURE_LABEL
 from .frames import BLOCK, BlockRect, Frame, Sequence, crop_frame, pad16, pad_frame
 from .motion import (AffineMotion, MotionError, MotionModelKind,
@@ -33,13 +33,16 @@ from .transform import (DC_BASIS, dequantize, inverse_sums, quant_step,
                         shift, transform_quantize, unscan)
 
 MAGIC = b"TXC1"
-VERSION = 2
+VERSION = 3
 # The TXC1 container layouts, little-endian; see docs/bitstream.md.  The
 # file header: magic, version, width, height, frame count, gf, model code
 _FILE_HEADER = struct.Struct("<4sBHHHBB")
 _FRAME_HEADER = struct.Struct("<BB")  # frame type, q_level
 _MOTION = struct.Struct("<6i")  # INTER only: Q16.16 a11 a12 a21 a22 tx ty
-_U32 = struct.Struct("<I")  # a payload length, and each CRC of the footer
+_U32 = struct.Struct("<I")  # each CRC of the footer
+# a frame's payload length, and the byte lengths of its tree and prefix
+# parts; the suffix part is the rest of the payload
+_PAYLOAD = struct.Struct("<3I")
 # the q_level and gf_group_size values a legal header holds
 Q_LEVELS = range(1, 64)
 GF_GROUP_SIZES = range(4, 17)
@@ -97,12 +100,8 @@ class EncoderConfig:
                 f"q_level must be in [{Q_LEVELS[0]}, {Q_LEVELS[-1]}]")
 
     @property
-    def q_step(self) -> int:
-        return self.q_level
-
-    @property
     def rd_lambda(self) -> float:
-        return 0.85 * self.q_step ** 2
+        return 0.85 * self.q_level ** 2
 
 
 @dataclass
@@ -129,6 +128,7 @@ class EncodeResult:
 class DecodeResult:
     sequence: Sequence    # cropped to original dimensions
     reconstructions: list  # padded Frame per coded frame
+    traces: list           # per frame: list of (BlockRect, BlockMode)
 
 
 # ---------------------------------------------------------------------------
@@ -286,13 +286,12 @@ def _untile(tiles: np.ndarray, h: int, w: int) -> np.ndarray:
         -3, -2).reshape(*lead, h, w)
 
 
-def _reconstruct(pred: np.ndarray, levels: np.ndarray,
-                 q_step: int) -> np.ndarray:
-    """(..., h, w) int64 predictions plus the residual that their
-    (..., k, tu, tu) levels code, clipped to uint8: the one reconstruction
-    rule of the RD search and the decoder.  (`_intra_leaf` computes the same
-    sums by parts.)"""
-    res = _untile(reconstruct_residual(levels, q_step), *pred.shape[-2:])
+def _reconstruct(pred: np.ndarray, residual: np.ndarray) -> np.ndarray:
+    """(..., h, w) int64 predictions plus their (..., k, tu, tu) TUs'
+    residual, clipped to uint8: the one reconstruction rule of the RD
+    search and the decoder.  (`_intra_leaf` computes the same sums by
+    parts.)"""
+    res = _untile(residual, *pred.shape[-2:])
     res += pred
     return _to_uint8(res)
 
@@ -302,23 +301,22 @@ def _to_uint8(samples: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(samples, 0), 255).astype(np.uint8)
 
 
-def _reconstruct_leaf(ctx: _FrameCtx, leaf: _Leaf, rect: BlockRect) -> dict:
-    """A leaf's (c, s, s) reconstructed block per array, from its coded
-    levels; identical on encoder and decoder.  Reads the working recon
-    planes only outside `rect` (the INTRA_DC neighbours)."""
+def _reconstruct_leaf(ctx: _FrameCtx, leaf: _Leaf, rect: BlockRect,
+                      residual: dict | None = None) -> dict:
+    """A leaf's (c, s, s) reconstructed block per array, from the residual
+    of its TUs: `residual[plane]` (c, k, tu, tu), or when None the residual
+    its levels code; identical on encoder and decoder.  Reads the working
+    recon planes only outside `rect` (the INTRA_DC neighbours)."""
     out = {}
     for plane in _TU:
         pred = _prediction(ctx, leaf, rect, plane)
         if leaf.mode == BlockMode.TEXTURE:  # the warp, with no residual
             out[plane] = pred.astype(np.uint8)
-        else:
-            out[plane] = _reconstruct(pred, leaf.levels[plane], ctx.q_step)
+            continue
+        res = (reconstruct_residual(leaf.levels[plane], ctx.q_step)
+               if residual is None else residual[plane])
+        out[plane] = _reconstruct(pred, res)
     return out
-
-
-def _apply_leaf(ctx: _FrameCtx, leaf: _Leaf, rect: BlockRect) -> None:
-    """Reconstruct a leaf into the working recon planes."""
-    _paste(ctx, rect, _reconstruct_leaf(ctx, leaf, rect))
 
 
 def _paste(ctx: _FrameCtx, rect: BlockRect, blocks: dict) -> None:
@@ -350,73 +348,21 @@ def _coeff_codes(levels: np.ndarray):
     return codes, starts
 
 
-def _read_coeffs(br: BitReader, k: int, n: int) -> np.ndarray:
-    """The inverse of `_coeff_codes`: k TUs' (k, n, n) levels.  Each TU's
-    run/level codes are parsed in one `read_ues` call, so a malformed or
-    truncated code anywhere in them is reported before a range error."""
-    nn = n * n
-    flat = [0] * (k * nn)
-    for start in range(0, k * nn, nn):
-        count = br.read_ue()
-        if count > nn:
-            raise BitstreamError("coefficient count out of range")
-        codes = iter(br.read_ues(2 * count))
-        pos = start - 1
-        for run in codes:
-            pos += run + 1
-            if pos >= start + nn:
-                raise BitstreamError("coefficient position out of range")
-            level = ue_to_se(next(codes))
-            if abs(level) > MAX_LEVEL:
-                raise BitstreamError("coefficient level out of range")
-            flat[pos] = level
-    return unscan(np.array(flat, np.int64).reshape(k, nn), n)
-
-
-def _leaf_codes(leaf: _Leaf) -> np.ndarray:
-    """The ue() values `_write_leaf` writes after the mode: an INTER_MV
-    leaf's MV, then the y, u and v levels."""
-    if leaf.mode == BlockMode.TEXTURE:
-        return np.empty(0, np.int64)
-    codes = [_coeff_codes(leaf.levels[plane])[0] for plane in _TU]
-    if leaf.mode == BlockMode.INTER_MV:
-        codes.insert(0, se_to_ue(np.array(leaf.mv, np.int64)))
-    return np.concatenate(codes)
-
-
-def _write_leaf(bw: BitWriter, leaf: _Leaf) -> None:
-    bw.write_bits(int(leaf.mode), MODE_BITS)
-    bw.write_ues(_leaf_codes(leaf))
-
-
-def _read_leaf(br: BitReader, ctx: _FrameCtx, rect: BlockRect) -> _Leaf:
-    mode = BlockMode(br.read_bits(MODE_BITS))
-    if ctx.frame_type == KEY_FRAME and mode != BlockMode.INTRA_DC:
-        raise BitstreamError(f"mode {mode.name} invalid in KEY frame")
-    leaf = _Leaf(mode=mode)
-    if mode == BlockMode.TEXTURE:
-        return leaf
-    if mode == BlockMode.INTER_MV:
-        leaf.mv = (br.read_se(), br.read_se())
-        x, y, s = rect.x, rect.y, rect.size
-        dx, dy = leaf.mv
-        if not (0 <= x + dx <= ctx.pw - s and 0 <= y + dy <= ctx.ph - s):
-            raise BitstreamError("motion vector out of frame")
-    k = (rect.size // LUMA_TU) ** 2  # TUs per plane
-    for plane, tu in _TU.items():
-        c = len(ctx.recon[plane])
-        leaf.levels[plane] = _read_coeffs(br, c * k, tu).reshape(c, k, tu, tu)
-    return leaf
-
-
 # ---------------------------------------------------------------------------
 # encoder
 
 
 def _leaf_bits(leaf: _Leaf, with_flag: bool) -> int:
-    """Bits `_write_leaf` writes for `leaf`, plus its split flag when
-    `with_flag`, counted from the code lengths without writing them."""
-    return int(with_flag) + MODE_BITS + ue_bits(_leaf_codes(leaf))
+    """Bits a leaf takes in the frame's parts, plus its split flag when
+    `with_flag`, counted from the code lengths without writing them: its
+    mode, an INTER_MV leaf's MV, and its levels' codes."""
+    bits = int(with_flag) + MODE_BITS
+    if leaf.mode == BlockMode.INTER_MV:
+        bits += ue_bits(se_to_ue(np.array(leaf.mv, np.int64)))
+    if leaf.mode != BlockMode.TEXTURE:
+        bits += sum(ue_bits(_coeff_codes(leaf.levels[plane])[0])
+                    for plane in _TU)
+    return bits
 
 
 def _ssd(orig: np.ndarray, recon: np.ndarray) -> int:
@@ -432,7 +378,7 @@ def _code_tus(orig: np.ndarray, pred: np.ndarray, tu: int, q_step: int):
     (the per-TU sums of the ue() code array the writer emits) and its
     SSD."""
     levels = transform_quantize(_tiles(orig - pred, tu), q_step)
-    recon = _reconstruct(pred, levels, q_step)
+    recon = _reconstruct(pred, reconstruct_residual(levels, q_step))
     codes, starts = _coeff_codes(levels)
     bits = np.add.reduceat(ue_lengths(codes), starts)
     d = _tiles(orig.astype(np.int64) - recon, tu)
@@ -462,19 +408,45 @@ def _code_leaves(ctx: _FrameCtx, leaves: list, rects: list):
     return bits.tolist(), dist.tolist()
 
 
+def _coefficient_parts(leaves: list) -> tuple[bytes, bytes]:
+    """The prefix and suffix parts of a frame's coefficient codes, from its
+    leaves in coding order: every TU's ue(count), then every TU's
+    (ue(run), se(level)) pairs, both in one TU order (each leaf's luma TUs,
+    leaf after leaf; then each leaf's U TUs and V TUs, leaf after leaf)."""
+    counts, pairs = [], []
+    for plane, tu in _TU.items():
+        codes, starts = _coeff_codes(np.concatenate(
+            [np.empty((0, tu, tu), np.int16)]
+            + [leaf.levels[plane].reshape(-1, tu, tu) for leaf in leaves
+               if leaf.mode != BlockMode.TEXTURE]))
+        is_count = np.zeros(len(codes), bool)
+        is_count[starts] = True
+        counts.append(codes[is_count])
+        pairs.append(codes[~is_count])
+    return ue_parts(np.concatenate(counts + pairs))
+
+
 def _write_tree(bw: BitWriter, ctx: _FrameCtx, tree, rect: BlockRect,
-                trace: list) -> None:
-    """Emit a decided tree: a _Leaf, or the list of its in-frame children's
-    trees (a split); records each leaf's (rect, mode) in `trace`."""
+                leaves: list) -> None:
+    """Emit a decided tree's tree-part syntax: `tree` is a _Leaf, or the
+    list of its in-frame children's trees (a split).  Appends each leaf, as
+    (rect, _Leaf) without its reconstruction, to `leaves`."""
     split = isinstance(tree, list)
     if _split_flag_coded(ctx, rect):
         bw.write_bit(int(split))
     if split:
         for child, subtree in zip(_children(ctx, rect), tree):
-            _write_tree(bw, ctx, subtree, child, trace)
+            _write_tree(bw, ctx, subtree, child, leaves)
         return
-    _write_leaf(bw, tree)
-    trace.append((rect, tree.mode))
+    bw.write_bits(int(tree.mode), MODE_BITS)
+    if tree.mode == BlockMode.INTER_MV:
+        for v in tree.mv:
+            bw.write_ue(se_to_ue(v))
+    # the leaf as the coefficient parts need it, its levels in copies that
+    # hold no RD table alive (every level fits int16)
+    leaves.append((rect, _Leaf(tree.mode, tree.mv, {
+        plane: levels.astype(np.int16) for plane, levels in
+        tree.levels.items()})))
 
 
 def _searched_nodes(ctx: _FrameCtx, rect: BlockRect, cfg: EncoderConfig,
@@ -768,20 +740,24 @@ def _encode_frame(i: int, frame: Frame, cur_mask, config: EncoderConfig,
         header += _MOTION.pack(*q16)
         m = _q16_motion(q16)
         ref_mask = key_mask
-    ctx = _FrameCtx(pw, ph, config.q_step, ftype, key_recon=key_recon,
+    ctx = _FrameCtx(pw, ph, config.q_level, ftype, key_recon=key_recon,
                     prev_recon=prev_recon, motion=m, orig=frame,
                     rd_lambda=config.rd_lambda)
 
     bw = BitWriter()
-    trace = []
+    leaves = []
     for row in _superblock_rows(ctx):
         tables = _row_tables(ctx, row, config, cur_mask, ref_mask)
         for rect in row:
             tree, _, _ = _search_node(ctx, rect, tables)
-            _write_tree(bw, ctx, tree, rect, trace)
+            _write_tree(bw, ctx, tree, rect, leaves)
         del tables  # before the next row's are built
-    payload = bw.to_bytes()
-    data = header + _U32.pack(len(payload)) + payload
+    tree = bw.to_bytes()
+    prefix, suffix = _coefficient_parts([leaf for _, leaf in leaves])
+    data = b"".join([header, _PAYLOAD.pack(
+        len(tree) + len(prefix) + len(suffix), len(tree), len(prefix)),
+        tree, prefix, suffix])
+    trace = [(rect, leaf.mode) for rect, leaf in leaves]
 
     recon = ctx.recon_frame(i)
     mode_counts = {mode.name: 0 for mode in BlockMode}
@@ -854,7 +830,7 @@ def _encode(seq: Sequence, masks,
 
 
 def encode_sequence(seq: Sequence, masks, config: EncoderConfig) -> EncodeResult:
-    """Encode a sequence; returns the TXC1 v2 bitstream, per-frame stats, the
+    """Encode a sequence; returns the TXC1 v3 bitstream, per-frame stats, the
     encoder-side reconstructions and a (rect, mode) trace per frame."""
     return _encode(seq, masks, [config])[0]
 
@@ -868,16 +844,106 @@ def _recon_crc(f: Frame) -> int:
 # decoder
 
 
-def _decode_node(ctx: _FrameCtx, rect: BlockRect, br: BitReader):
+def _parse_tree(br: BitReader, ctx: _FrameCtx, rect: BlockRect,
+                leaves: list) -> None:
+    """Parse the tree part's syntax of the node `rect`: appends each of its
+    leaves, as (rect, _Leaf) with the mode and MV set, to `leaves`."""
     if _split_flag_coded(ctx, rect):
         split = br.read_bit() == 1
     else:
         split = rect.size > MIN_BLOCK  # a partial node
     if split:
         for child in _children(ctx, rect):
-            _decode_node(ctx, child, br)
+            _parse_tree(br, ctx, child, leaves)
         return
-    _apply_leaf(ctx, _read_leaf(br, ctx, rect), rect)
+    mode = BlockMode(br.read_bits(MODE_BITS))
+    if ctx.frame_type == KEY_FRAME and mode != BlockMode.INTRA_DC:
+        raise BitstreamError(f"mode {mode.name} invalid in KEY frame")
+    leaf = _Leaf(mode=mode)
+    if mode == BlockMode.INTER_MV:
+        leaf.mv = (br.read_se(), br.read_se())
+        x, y, s = rect.x, rect.y, rect.size
+        dx, dy = leaf.mv
+        if not (0 <= x + dx <= ctx.pw - s and 0 <= y + dy <= ctx.ph - s):
+            raise BitstreamError("motion vector out of frame")
+    leaves.append((rect, leaf))
+
+
+def _read_levels(reader: UePartsReader, n_tus: dict) -> dict:
+    """The inverse of `_coefficient_parts`: per sample array, the
+    (n_tus[plane], tu, tu) levels of its TUs in coding order, as int16.
+    Every count, position and level is range-checked."""
+    counts = reader.read(sum(n_tus.values()))
+    if np.any(counts > np.repeat([_TU[plane] ** 2 for plane in n_tus],
+                                 list(n_tus.values()))):
+        raise BitstreamError("coefficient count out of range")
+    pairs = reader.read(2 * int(counts.sum())).reshape(-1, 2)
+    reader.finish()
+    out = {}
+    for plane, n in n_tus.items():
+        plane_counts, counts = counts[:n], counts[n:]
+        run, code = pairs[:int(plane_counts.sum())].T
+        pairs = pairs[len(run):]
+        out[plane] = _place_levels(plane_counts, run, code, _TU[plane])
+    return out
+
+
+def _place_levels(counts, run, code, n: int) -> np.ndarray:
+    """The (k, n, n) levels of k TUs from their counts and their levels'
+    ue(run) and ue(se) values in TU order.  Each level's TU and zig-zag
+    position follow with a `repeat` and a segmented `cumsum`."""
+    tu = np.repeat(np.arange(len(counts)), counts)
+    # a level's position is the sum of its TU's (run + 1)s up to it, less
+    # one: a cumsum over all levels, less its value before the TU's first
+    end = np.cumsum(run + 1)
+    first = (np.cumsum(counts) - counts)[counts > 0]
+    pos = end - np.repeat(end[first] - run[first], counts[counts > 0])
+    if np.any(pos >= n * n):
+        raise BitstreamError("coefficient position out of range")
+    level = ue_to_se(code)
+    if np.any(np.abs(level) > MAX_LEVEL):
+        raise BitstreamError("coefficient level out of range")
+    flat = np.zeros((len(counts), n * n), np.int16)
+    flat[tu, pos] = level
+    return unscan(flat, n)
+
+
+def _parse_frame(ctx: _FrameCtx, payload: bytes, tree_len: int,
+                 prefix_len: int):
+    """A frame's parse: its leaves in coding order, each (rect, _Leaf) with
+    mode and MV, and per sample array the levels of all its coded leaves'
+    TUs, as `_read_levels` gives them."""
+    br = BitReader(payload[:tree_len])
+    leaves = []
+    for row in _superblock_rows(ctx):
+        for rect in row:
+            _parse_tree(br, ctx, rect, leaves)
+    br.finish()
+    k = sum((rect.size // LUMA_TU) ** 2 for rect, leaf in leaves
+            if leaf.mode != BlockMode.TEXTURE)  # TUs per plane
+    reader = UePartsReader(payload[tree_len:tree_len + prefix_len],
+                           payload[tree_len + prefix_len:])
+    n_tus = {plane: len(ctx.recon[plane]) * k for plane in _TU}
+    return leaves, _read_levels(reader, n_tus)
+
+
+def _reconstruct_frame(ctx: _FrameCtx, leaves: list, levels: dict) -> None:
+    """Reconstruct parsed leaves into the working recon planes, in coding
+    order: one inverse transform per sample array of all the TUs' levels,
+    then each leaf adds its prediction to its TUs' residual."""
+    residual = {plane: reconstruct_residual(lv, ctx.q_step)
+                for plane, lv in levels.items()}
+    at = 0  # each plane's TUs in the coded leaves before
+    for rect, leaf in leaves:
+        res = None
+        if leaf.mode != BlockMode.TEXTURE:
+            k = (rect.size // LUMA_TU) ** 2
+            res = {}
+            for plane, r in residual.items():
+                c = len(ctx.recon[plane])
+                res[plane] = r[c * at:c * (at + k)].reshape(c, k, *r.shape[1:])
+            at += k
+        _paste(ctx, rect, _reconstruct_leaf(ctx, leaf, rect, res))
 
 
 def _read(layout: struct.Struct, data: bytes, pos: int, what: str):
@@ -890,9 +956,10 @@ def _read(layout: struct.Struct, data: bytes, pos: int, what: str):
 
 
 def decode_sequence(data: bytes) -> DecodeResult:
-    """Decode a TXC1 v2 file.  Every frame record and the CRC footer are
+    """Decode a TXC1 v3 file.  Every frame record and the CRC footer are
     checked to lie within `data`, and the file header against its CRC,
-    before any frame is decoded."""
+    before any frame is decoded.  Each frame is then parsed whole, its
+    tree and its coefficient arrays, before it is reconstructed."""
     (magic, version, width, height, n_frames, gf, model_code), pos = _read(
         _FILE_HEADER, data, 0, "file header")
     if magic != MAGIC:
@@ -907,9 +974,9 @@ def decode_sequence(data: bytes) -> DecodeResult:
     if pw * ph > MAX_FRAME_AREA:
         raise BitstreamError(f"frame area {pw}x{ph} exceeds {MAX_FRAME_AREA} "
                              f"luma samples")
-    # every superblock codes at least one leaf mode
-    min_payload_bits = MODE_BITS * -(-pw // SUPERBLOCK) * -(-ph // SUPERBLOCK)
-    records = []  # per frame: type, q_level, motion, payload start and end
+    # every superblock codes at least one leaf mode in the tree part
+    min_tree_bits = MODE_BITS * -(-pw // SUPERBLOCK) * -(-ph // SUPERBLOCK)
+    records = []  # per frame: type, q_level, motion, payload, part lengths
     for i in range(n_frames):
         (ftype, q_level), pos = _read(_FRAME_HEADER, data, pos,
                                       f"header of frame {i}")
@@ -921,13 +988,18 @@ def decode_sequence(data: bytes) -> DecodeResult:
         if ftype == INTER_FRAME:
             q16, pos = _read(_MOTION, data, pos, f"motion header of frame {i}")
             m = _q16_motion(q16)
-        (plen,), pos = _read(_U32, data, pos, f"payload length of frame {i}")
+        (plen, tree_len, prefix_len), pos = _read(
+            _PAYLOAD, data, pos, f"payload lengths of frame {i}")
         if pos + plen > len(data):
             raise BitstreamError(f"truncated payload of frame {i}")
-        if 8 * plen < min_payload_bits:
-            raise BitstreamError(f"payload of frame {i} too short for "
-                                 f"{width}x{height}")
-        records.append((ftype, q_level, m, pos, pos + plen))
+        if tree_len + prefix_len > plen:
+            raise BitstreamError(f"payload of frame {i} shorter than its "
+                                 f"tree and prefix parts")
+        if 8 * tree_len < min_tree_bits:
+            raise BitstreamError(f"payload of frame {i}: tree part too "
+                                 f"short for {width}x{height}")
+        records.append((ftype, q_level, m, data[pos:pos + plen], tree_len,
+                        prefix_len))
         pos += plen
     crcs = []
     for _ in range(n_frames + 1):  # each frame's, then the file header's
@@ -937,14 +1009,14 @@ def decode_sequence(data: bytes) -> DecodeResult:
         raise BitstreamError("file header CRC mismatch")
 
     prev_recon = key_recon = None
-    recons, frames = [], []
-    for i, (ftype, q_level, m, start, end) in enumerate(records):
+    recons, frames, traces = [], [], []
+    for i, (ftype, q_level, m, payload, tree_len, prefix_len) in enumerate(
+            records):
         ctx = _FrameCtx(pw, ph, q_level, ftype, key_recon=key_recon,
                         prev_recon=prev_recon, motion=m)
-        br = BitReader(data[start:end])
-        for row in _superblock_rows(ctx):
-            for rect in row:
-                _decode_node(ctx, rect, br)
+        leaves, levels = _parse_frame(ctx, payload, tree_len, prefix_len)
+        traces.append([(rect, leaf.mode) for rect, leaf in leaves])
+        _reconstruct_frame(ctx, leaves, levels)
         recon = ctx.recon_frame(i)
         if crcs[i] != _recon_crc(recon):
             raise BitstreamError(f"reconstruction CRC mismatch at frame {i}")
@@ -954,4 +1026,4 @@ def decode_sequence(data: bytes) -> DecodeResult:
         if ftype == KEY_FRAME:
             key_recon = recon
     return DecodeResult(sequence=Sequence(frames=tuple(frames)),
-                        reconstructions=recons)
+                        reconstructions=recons, traces=traces)

@@ -141,11 +141,12 @@ def scan(levels: np.ndarray) -> np.ndarray:
     """(..., n, n) blocks -> (..., n*n) in zig-zag order."""
     levels = np.asarray(levels, np.int64)
     fwd, _ = _zigzag_index(levels.shape[-1])
-    return levels.reshape(*levels.shape[:-2], -1).take(fwd, axis=-1)
+    return levels.reshape(*levels.shape[:-2], len(fwd)).take(fwd, axis=-1)
 
 
 def unscan(flat: np.ndarray, n: int) -> np.ndarray:
-    """The inverse of `scan`: (..., n*n) -> (..., n, n)."""
-    flat = np.asarray(flat, np.int64)
+    """The inverse of `scan`: (..., n*n) -> (..., n, n), of the same integer
+    dtype."""
+    flat = np.asarray(flat)
     _, inv = _zigzag_index(n)
     return flat.take(inv, axis=-1).reshape(*flat.shape[:-1], n, n)

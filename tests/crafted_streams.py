@@ -3,7 +3,7 @@
 import struct
 import zlib
 
-from texcodec.bitio import BitWriter, se_to_ue
+from texcodec.bitio import se_to_ue
 from texcodec.codec import KEY_FRAME, MAGIC, VERSION, BlockMode
 
 
@@ -18,22 +18,46 @@ def container(width: int, height: int, records: bytes,
                           zlib.crc32(head)))
 
 
-def single_tu_stream(write_luma_tu) -> bytes:
-    """A one-frame 16x16 KEY stream whose only leaf is INTRA_DC; its luma TU
-    is coded by `write_luma_tu(bw)`, its chroma TUs are empty.  The frame's
-    CRC is a placeholder."""
-    bw = BitWriter()
-    bw.write_bits(int(BlockMode.INTRA_DC), 2)  # 64 and 32 nodes: forced splits
-    write_luma_tu(bw)
-    bw.write_ue(0)
-    bw.write_ue(0)
-    payload = bw.to_bytes()
-    return container(16, 16, struct.pack("<BB", KEY_FRAME, 24)
-                     + struct.pack("<I", len(payload)) + payload, (0,))
+def key_record(tree: bytes, prefix: bytes, suffix: bytes,
+               q_level: int = 24) -> bytes:
+    """A KEY frame record: its header, its three part lengths and parts."""
+    return (struct.pack("<BB3I", KEY_FRAME, q_level,
+                        len(tree) + len(prefix) + len(suffix), len(tree),
+                        len(prefix))
+            + tree + prefix + suffix)
 
 
-def huge_level_tu(bw: BitWriter) -> None:
-    """One nonzero level, se(2**63): ue(1) ue(0) se(2**63)."""
-    bw.write_ue(1)
-    bw.write_ue(0)
-    bw.write_ue(se_to_ue(2 ** 63))
+def pack(bits: str) -> bytes:
+    """A bit string, zero-padded to whole bytes."""
+    bits += "0" * (-len(bits) % 8)
+    return bytes(int(bits[i:i + 8], 2) for i in range(0, len(bits), 8))
+
+
+def ue_code(value: int) -> str:
+    """The bit string of ue(value), for any value >= 0."""
+    v = format(value + 1, "b")
+    return "0" * (len(v) - 1) + v
+
+
+def split_codes(codes) -> tuple[str, str]:
+    """The prefix and suffix bit strings of a run of code bit strings: each
+    code's bits up to its first 1, and the rest."""
+    cut = [code.index("1") + 1 for code in codes]
+    return ("".join(code[:c] for code, c in zip(codes, cut)),
+            "".join(code[c:] for code, c in zip(codes, cut)))
+
+
+def single_tu_stream(count: int, pairs=()) -> bytes:
+    """A one-frame 16x16 KEY stream whose only leaf is INTRA_DC: its luma TU
+    codes ue(count), then ue(run) and ue(code) of each (run, code) pair,
+    its chroma TUs are empty.  The frame's CRC is a placeholder."""
+    # the 64 and 32 nodes are forced splits: the tree is one mode
+    tree = pack(format(int(BlockMode.INTRA_DC), "02b"))
+    values = [count, 0, 0] + [v for pair in pairs for v in pair]
+    prefix, suffix = split_codes([ue_code(v) for v in values])
+    return container(16, 16, key_record(tree, pack(prefix), pack(suffix)),
+                     (0,))
+
+
+# one nonzero level, se(2**63): its code has a 64-zero prefix
+HUGE_LEVEL = (1, [(0, se_to_ue(2 ** 63))])

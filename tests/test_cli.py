@@ -1,16 +1,19 @@
 """End-to-end command line tests, run in-process through cli.main."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from crafted_streams import huge_level_tu, single_tu_stream
-from texcodec.analyzer import mask_filename, save_mask
-from texcodec.cli import main
+from crafted_streams import HUGE_LEVEL, single_tu_stream
+from texcodec.analyzer import load_mask, mask_filename, save_mask
+from texcodec.cli import build_parser, main
+from texcodec.codec import EncoderConfig, encode_sequence
 from texcodec.frames import read_y4m, write_y4m
 from texcodec.metrics import bd_psnr, bd_rate, curve_from_json
+from texcodec.motion import MotionModelKind
 from texcodec.sequences import panning_texture_sequence
 
 
@@ -81,7 +84,7 @@ def test_domain_errors_exit_one(tmp_path, capsys):
 
 def test_decode_oversized_level_exits_one(tmp_path, capsys):
     bad = tmp_path / "huge.txc"
-    bad.write_bytes(single_tu_stream(huge_level_tu))
+    bad.write_bytes(single_tu_stream(*HUGE_LEVEL))
     assert main(["decode", "--in", str(bad),
                  "--out", str(tmp_path / "o.y4m")]) == 1
     assert "Exp-Golomb" in capsys.readouterr().err
@@ -142,6 +145,38 @@ def test_encode_decode_roundtrip(workdir, tmp_path):
     with open(out, "rb") as f:
         dec = read_y4m(f)
     assert (dec.width, dec.height, len(dec)) == (96, 64, 6)
+
+
+def test_encode_seed_defaults_to_the_library_motion_seed(tmp_path):
+    # without --seed, encode fits the texture motion with EncoderConfig's
+    # motion_seed, as the library does; on this clip the affine fit of
+    # seed 0 differs
+    seq, masks = panning_texture_sequence(96, 64, n_frames=2, seed=1)
+    with open(tmp_path / "clip.y4m", "wb") as f:
+        write_y4m(seq, f)
+    (tmp_path / "masks").mkdir()
+    for i, m in enumerate(masks):
+        save_mask(m, tmp_path / "masks" / mask_filename("clip", i))
+    stream = tmp_path / "o.txc"
+    assert main(["encode", "--input", str(tmp_path / "clip.y4m"),
+                 "--masks", str(tmp_path / "masks"), "--model", "affine",
+                 "--out", str(stream)]) == 0
+    masks = [load_mask(tmp_path / "masks" / mask_filename("clip", i))
+             for i in range(len(seq))]
+    affine = EncoderConfig(model_kind=MotionModelKind.AFFINE)
+    assert stream.read_bytes() == encode_sequence(seq, masks,
+                                                  affine).bitstream
+    assert stream.read_bytes() != encode_sequence(
+        seq, masks, replace(affine, motion_seed=0)).bitstream
+    # rd-sweep shares the default; the other subcommands keep seed 0
+    parser = build_parser()
+    assert parser.parse_args(["rd-sweep", "--input", "c.y4m", "--masks", "m",
+                              "--out", "r.json"]).seed == affine.motion_seed
+    for argv in (["gen-data", "--out", "d.npz"],
+                 ["train", "--data", "d.npz", "--out", "w.txnn"],
+                 ["motion", "--cur", "c.y4m", "--ref", "r.y4m",
+                  "--mask", "m.pgm"]):
+        assert parser.parse_args(argv).seed == 0
 
 
 def test_baseline_encode_needs_no_masks(workdir, tmp_path):

@@ -1,16 +1,23 @@
 """Closed-form code lengths against the bits the writer emits, a leaf's
-coefficient codes against a per-TU reference, and the word-level bit
-writer/reader against a bit-by-bit reference."""
+coefficient codes against a per-TU reference, the word-level bit
+writer/reader against a bit-by-bit reference, and the array coder of the
+prefix and suffix parts against a scalar reference."""
+
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from texcodec.bitio import (BitReader, BitstreamError, BitWriter, se_to_ue,
-                            ue_bits)
+from crafted_streams import pack, split_codes
+from pinned_encodes import pinned_inputs
+from texcodec import codec
+from texcodec.bitio import (BitReader, BitstreamError, BitWriter,
+                            UePartsReader, se_to_ue, ue_bits, ue_parts)
 from texcodec.codec import (CHROMA_TU, LUMA_TU, MAX_LEVEL, BlockMode, _Leaf,
-                            _coeff_codes, _leaf_bits, _read_coeffs, _write_leaf)
+                            _coeff_codes, _coefficient_parts, _read_levels,
+                            encode_sequence)
 from texcodec.transform import zigzag_order
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True,
@@ -28,11 +35,6 @@ def _ref_ue(value):
 
 def _ref_se(value):
     return _ref_ue(2 * value - 1 if value > 0 else -2 * value)
-
-
-def _ref_pack(bits):
-    bits += "0" * (-len(bits) % 8)
-    return bytes(int(bits[i:i + 8], 2) for i in range(0, len(bits), 8))
 
 
 class _RefReader:
@@ -132,14 +134,57 @@ def _leaves(draw):
     return leaf
 
 
-@SETTINGS
-@given(_leaves(), st.booleans())
-def test_leaf_bits_matches_writer(leaf, with_flag):
-    bw = BitWriter()
-    if with_flag:
-        bw.write_bit(0)
-    _write_leaf(bw, leaf)
-    assert _leaf_bits(leaf, with_flag) == bw.bits_written
+def _part_bits(data, at):
+    """The bits that a frame record's tree, prefix and suffix parts hold
+    before their padding, given the tree's from the encoder; and the
+    position after the record."""
+    at += 2 + (24 if data[at] == codec.INTER_FRAME else 0)
+    plen, tree_len, prefix_len = struct.unpack_from("<3I", data, at)
+    at += 12 + tree_len
+    prefix = np.unpackbits(np.frombuffer(data[at:at + prefix_len], np.uint8))
+    ones = np.flatnonzero(prefix)
+    # a code with z zeros has z + 1 prefix bits, the last a 1, and z suffix
+    # bits
+    prefix_bits = int(ones[-1]) + 1 if len(ones) else 0
+    return prefix_bits, prefix_bits - len(ones), at + plen - tree_len
+
+
+@pytest.mark.parametrize("which", [0, 1, 2],
+                         ids=["texture", "baseline", "partial"])
+def test_rate_counter_matches_the_parts(which, monkeypatch):
+    # for each pinned encode and each frame, the bits the RD search counts
+    # for its chosen leaves and split flags equal its tree bits plus its
+    # prefix bits plus its suffix bits
+    frames = []  # per frame: [bits counted, tree bits written]
+    search, depth = codec._search_node, [0]
+
+    def counted(ctx, rect, tables):
+        depth[0] += 1
+        try:
+            tree, bits, dist = search(ctx, rect, tables)
+        finally:
+            depth[0] -= 1
+        if depth[0] == 0:  # a superblock
+            frames[-1][0] += bits
+        return tree, bits, dist
+
+    class Writer(BitWriter):
+        def __init__(self):
+            super().__init__()
+            frames.append([0, None])
+
+        def to_bytes(self):
+            frames[-1][1] = self.bits_written
+            return super().to_bytes()
+
+    monkeypatch.setattr(codec, "_search_node", counted)
+    monkeypatch.setattr(codec, "BitWriter", Writer)
+    data = encode_sequence(*pinned_inputs()[which]).bitstream
+    at = struct.calcsize("<4sBHHHBB")
+    for counted_bits, tree_bits in frames:
+        prefix_bits, suffix_bits, at = _part_bits(data, at)
+        assert counted_bits == tree_bits + prefix_bits + suffix_bits
+    assert len(data) - at == 4 * (len(frames) + 1)  # the CRC footer
 
 
 def _ref_coeff_codes(levels):
@@ -174,14 +219,20 @@ def test_coeff_codes_match_reference(seed, k, n, kind):
 
 
 @SETTINGS
-@given(*_PLANE_LEVELS)
-def test_coeffs_roundtrip(seed, k, n, kind):
-    levels = _levels(np.random.default_rng(seed), k, n, kind)
-    bw = BitWriter()
-    bw.write_ues(_coeff_codes(levels)[0])
-    br = BitReader(bw.to_bytes())
-    assert np.array_equal(_read_coeffs(br, k, n), levels)
-    assert br._pos == bw.bits_written
+@given(st.lists(_leaves(), max_size=6))
+def test_coeffs_roundtrip(leaves):
+    # a frame's coefficient parts parse back into every coded leaf's
+    # levels, luma TUs first, then each leaf's U and V TUs, and fill both
+    # parts
+    coded = [leaf for leaf in leaves if leaf.mode != BlockMode.TEXTURE]
+    want = {plane: np.concatenate(
+        [np.empty((0, tu, tu), np.int64)]
+        + [leaf.levels[plane].reshape(-1, tu, tu) for leaf in coded])
+        for plane, tu in codec._TU.items()}
+    reader = UePartsReader(*_coefficient_parts(leaves))
+    got = _read_levels(reader, {plane: len(v) for plane, v in want.items()})
+    for plane in want:
+        assert np.array_equal(got[plane], want[plane])
 
 
 # ---------------------------------------------------------------------------
@@ -193,14 +244,14 @@ def test_coeffs_roundtrip(seed, k, n, kind):
 def test_writer_matches_bit_by_bit_reference(ops):
     bw, ref = _write(ops)
     assert bw.bits_written == len(ref)
-    assert bw.to_bytes() == _ref_pack(ref)
+    assert bw.to_bytes() == pack(ref)
 
 
 @SETTINGS
 @given(st.lists(_OPS, max_size=40))
 def test_reader_matches_bit_by_bit_reference(ops):
     _, ref = _write(ops)
-    data = _ref_pack(ref)
+    data = pack(ref)
     br, rr = BitReader(data), _RefReader(data)
     for op in ops:
         if op[0] == "bits":
@@ -219,7 +270,7 @@ def test_truncated_reads_raise_bitstream_error(ops, data):
     assume(ref)
     # keep fewer whole bytes than the codes need
     cut = data.draw(st.integers(0, (len(ref) - 1) // 8))
-    br = BitReader(_ref_pack(ref)[:cut])
+    br = BitReader(pack(ref)[:cut])
     with pytest.raises(BitstreamError):
         for op in ops:
             if op[0] == "bits":
@@ -265,44 +316,97 @@ _CODES = st.one_of(
 
 
 @SETTINGS
-@given(st.integers(0, 15), st.lists(_CODES, max_size=60), st.data())
-def test_read_ues_matches_reference(skip, codes, data):
-    bits = "1" * skip + "".join(codes)
-    bits = bits[:data.draw(st.integers(skip, len(bits)))]
-    packed = _ref_pack(bits)
-    padded = "".join(format(b, "08b") for b in packed)
-    want, err, end = _ref_read_ues(padded, skip, len(codes))
-    br = BitReader(packed)
-    if skip:
-        br.read_bits(skip)
+@given(st.lists(_CODES, max_size=60), st.data())
+def test_ue_parts_reader_matches_reference(codes, data):
+    # the codes read from their prefix and suffix parts, in two reads,
+    # against the scalar reference over the same codes interleaved; asking
+    # for more codes than there are is an error too
+    k = data.draw(st.integers(0, len(codes) + 2))
+    first = data.draw(st.integers(0, k))
+    want, err, _ = _ref_read_ues("".join(codes), 0, k)
+    prefix, suffix = split_codes(codes)
+    reader = UePartsReader(pack(prefix), pack(suffix))
     if err is None:
-        assert br.read_ues(len(codes)) == want
+        got = reader.read(first).tolist() + reader.read(k - first).tolist()
+        assert got == want
+        if k == len(codes):
+            reader.finish()
     else:
+        with pytest.raises(BitstreamError):
+            reader.read(first)
+            reader.read(k - first)
+    if err == "malformed Exp-Golomb code" and k <= len(codes):
         with pytest.raises(BitstreamError, match=err):
-            br.read_ues(len(codes))
-    assert br._pos == end  # where the failing code starts, as read_ue leaves it
+            UePartsReader(pack(prefix), pack(suffix)).read(k)
 
 
-def _coeff_stream(pairs):
-    """ue(count), then ue(run) and se(level) of each (run, level) pair."""
-    bw = BitWriter()
-    bw.write_ue(len(pairs))
+@SETTINGS
+@given(st.lists(st.one_of(st.integers(0, 300), st.integers(0, 2 ** 33 - 2),
+                          st.integers(0, 2 ** 52)), max_size=60))
+def test_ue_parts_match_reference(values):
+    prefix, suffix = split_codes([_ref_ue(v) for v in values])
+    assert ue_parts(np.array(values, np.int64)) == (pack(prefix),
+                                                    pack(suffix))
+
+
+@pytest.mark.parametrize("offset", range(8))
+@pytest.mark.parametrize("value", [2 ** 32 - 1, 2 ** 33 - 2])
+def test_ue_parts_reader_at_the_window_edge(offset, value):
+    # a 32-bit suffix (the longest) from each bit offset of its first byte,
+    # and at the end of the suffix part, where its window reaches past it
+    values = [1] * offset + [value, 2 ** 33 - 2, value]
+    prefix, suffix = split_codes([_ref_ue(v) for v in values])
+    reader = UePartsReader(pack(prefix), pack(suffix))
+    assert reader.read(len(values)).tolist() == values
+    reader.finish()
+
+
+def test_ue_parts_reader_rejects_what_follows_the_last_code():
+    prefix, suffix = split_codes([_ref_ue(v) for v in (5, 0, 2)])
+    for p, s, error in (
+            (prefix + "1", suffix, "prefix part"),  # a fourth code
+            (prefix, suffix + "1", "suffix part"),  # a nonzero pad bit
+            (prefix + "0" * 8, suffix, "prefix part"),  # a trailing byte
+            (prefix, suffix + "0" * 8, "suffix part")):
+        reader = UePartsReader(pack(p), pack(s))
+        assert reader.read(3).tolist() == [5, 0, 2]
+        with pytest.raises(BitstreamError, match=error):
+            reader.finish()
+    with pytest.raises(BitstreamError, match="suffix part exhausted"):
+        UePartsReader(pack(prefix), b"").read(3)
+    with pytest.raises(BitstreamError, match="too few codes"):
+        UePartsReader(pack(prefix), pack(suffix)).read(4)
+
+
+def _levels_parts(pairs, count=None):
+    """The parts of one 8x8 TU: ue(count) (by default the pairs'), then
+    ue(run) and se(level) of each (run, level) pair."""
+    values = [len(pairs) if count is None else count]
     for run, level in pairs:
-        bw.write_ue(run)
-        bw.write_ue(se_to_ue(level))
-    return BitReader(bw.to_bytes())
+        values += [run, se_to_ue(level)]
+    return UePartsReader(*ue_parts(np.array(values, np.int64)))
 
 
-def test_read_coeffs_reports_first_range_error_in_stream_order():
+def test_read_levels_range_checks():
     n = CHROMA_TU
+    one = {"uv": 1}
     with pytest.raises(BitstreamError, match="count"):
-        _read_coeffs(_coeff_stream([(0, 1)] * (n * n + 1)), 1, n)
+        _read_levels(_levels_parts([(0, 1)] * (n * n + 1)), one)
     with pytest.raises(BitstreamError, match="level"):
-        _read_coeffs(_coeff_stream([(0, MAX_LEVEL + 1), (n * n, 1)]), 1, n)
+        _read_levels(_levels_parts([(0, MAX_LEVEL + 1), (n * n - 2, 1)]), one)
     with pytest.raises(BitstreamError, match="position"):
-        _read_coeffs(_coeff_stream([(n * n, MAX_LEVEL + 1), (0, 1)]), 1, n)
+        _read_levels(_levels_parts([(n * n, 1)]), one)
     with pytest.raises(BitstreamError, match="position"):
-        _read_coeffs(_coeff_stream([(0, 1), (n * n - 1, -MAX_LEVEL - 1)]), 1, n)
-    levels = _read_coeffs(
-        _coeff_stream([(0, -MAX_LEVEL), (n * n - 2, MAX_LEVEL)]), 1, n)
+        _read_levels(_levels_parts([(0, 1), (n * n - 1, -1)]), one)
+    with pytest.raises(BitstreamError, match="too few codes"):
+        _read_levels(_levels_parts([(0, 1)], count=2), one)
+    with pytest.raises(BitstreamError, match="prefix part"):
+        _read_levels(_levels_parts([(0, 1), (0, 1)], count=1), one)
+    levels = _read_levels(
+        _levels_parts([(0, -MAX_LEVEL), (n * n - 2, MAX_LEVEL)]), one)["uv"]
     assert levels.flat[0] == -MAX_LEVEL and levels.flat[n * n - 1] == MAX_LEVEL
+    # each TU's positions count from its own start
+    reader = UePartsReader(*ue_parts(np.array(
+        [1, 1, n * n - 1, se_to_ue(7), 0, se_to_ue(-3)], np.int64)))
+    levels = _read_levels(reader, {"uv": 2})["uv"]
+    assert levels[0].flat[n * n - 1] == 7 and levels[1].flat[0] == -3

@@ -8,20 +8,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from crafted_streams import container, huge_level_tu, single_tu_stream
+from crafted_streams import HUGE_LEVEL, container, key_record, single_tu_stream
 from search_oracle import diamond_search
 from texture_oracle import is_texture_block_oracle
 from texcodec.analyzer import TextureMask, all_texture_mask
-from texcodec.bitio import BitReader, BitstreamError, BitWriter, se_to_ue
+from texcodec.bitio import BitstreamError, se_to_ue
 from texcodec.codec import (_TU, INTER_FRAME, KEY_FRAME, MAX_FRAME_AREA,
                             MAX_LEVEL, MIN_BLOCK, SUPERBLOCK, BlockMode,
                             EncoderConfig, _candidates, _encode,
                             _estimate_frame_motion, _FrameCtx, _Leaf,
-                            _apply_leaf, _leaf_bits, _plane_rect, _prediction,
-                            _q16, _q16_motion, _read_coeffs,
-                            _reconstruct_leaf, _row_tables, _search_node,
-                            _superblock_rows, _tiles, decode_sequence,
-                            encode_sequence, is_texture_block)
+                            _leaf_bits, _paste, _plane_rect, _prediction,
+                            _q16, _q16_motion, _reconstruct_leaf, _row_tables,
+                            _search_node, _superblock_rows, _tiles,
+                            decode_sequence, encode_sequence, is_texture_block)
 from texcodec.datasets import NON_TEXTURE, TEXTURE
 from texcodec.frames import BLOCK, BlockRect, Frame, Sequence, pad16, pad_frame
 from texcodec.motion import AffineMotion, MotionModelKind
@@ -194,7 +193,7 @@ def _parse_frame_headers(bitstream):
             pos += 24
             motion = AffineMotion(*(v / 65536.0 for v in raw))
         (plen,) = struct.unpack_from("<I", bitstream, pos)
-        pos += 4 + plen
+        pos += 12 + plen  # the payload's and its tree and prefix parts' lengths
         out.append((ftype, q, motion))
     return out
 
@@ -296,34 +295,26 @@ def test_single_byte_corruption_always_detected():
 
 
 def test_coefficient_level_bound():
-    for level, ok in ((MAX_LEVEL, True), (-MAX_LEVEL, True),
-                      (MAX_LEVEL + 1, False), (-MAX_LEVEL - 1, False)):
-        bw = BitWriter()
-        bw.write_ue(1)
-        bw.write_ue(0)
-        bw.write_ue(se_to_ue(level))
-        br = BitReader(bw.to_bytes())
-        if ok:
-            assert _read_coeffs(br, 1, 16)[0, 0, 0] == level
-        else:
-            with pytest.raises(BitstreamError, match="level"):
-                _read_coeffs(br, 1, 16)
+    # a legal level parses, and the placeholder frame CRC then fails
+    for level, error in ((MAX_LEVEL, "CRC"), (-MAX_LEVEL, "CRC"),
+                         (MAX_LEVEL + 1, "level"), (-MAX_LEVEL - 1, "level")):
+        with pytest.raises(BitstreamError, match=error):
+            decode_sequence(single_tu_stream(1, [(0, se_to_ue(level))]))
 
 
 def test_oversized_level_is_a_bitstream_error():
     # se(2**63) has a 64-zero prefix: rejected as malformed, not an
     # OverflowError when stored into the int64 level array
     with pytest.raises(BitstreamError, match="Exp-Golomb"):
-        decode_sequence(single_tu_stream(huge_level_tu))
+        decode_sequence(single_tu_stream(*HUGE_LEVEL))
 
 
 def test_short_payload_rejected_before_allocating():
     # 4096x2176, the largest area a header may declare, has 2176
-    # superblocks, so a payload needs >= 4352 bits; the 1-byte one must be
-    # refused before the 13 MB of frame planes exist
-    data = container(4096, 2176, struct.pack("<BB", KEY_FRAME, 24)
-                     + struct.pack("<I", 1) + b"\x00", (0,))
-    assert 4096 * 2176 == MAX_FRAME_AREA and len(data) == 28
+    # superblocks, so a tree part needs >= 4352 bits; the 1-byte one must
+    # be refused before the 13 MB of frame planes exist
+    data = container(4096, 2176, key_record(b"\x00", b"\x80", b""), (0,))
+    assert 4096 * 2176 == MAX_FRAME_AREA and len(data) == 37
     tracemalloc.start()
     try:
         with pytest.raises(BitstreamError, match="payload"):
@@ -338,8 +329,8 @@ def test_frame_area_above_the_bound_rejected_before_allocating():
     # a header may not declare a padded area above MAX_FRAME_AREA, however
     # long its payload; the encoder refuses to write one
     for width, height in ((4096, 2177), (4112, 2176), (0xFFFF, 0xFFFF)):
-        data = container(width, height, struct.pack("<BB", KEY_FRAME, 24)
-                         + struct.pack("<I", 1 << 20) + bytes(1 << 20), (0,))
+        data = container(width, height,
+                         key_record(bytes(1 << 20), b"", b""), (0,))
         tracemalloc.start()
         try:
             with pytest.raises(BitstreamError, match="frame area"):
@@ -355,13 +346,15 @@ def test_frame_area_above_the_bound_rejected_before_allocating():
 
 
 def test_decode_rejects_version_1_and_a_changed_file_header():
-    # version 1 streams used a float DCT; v2 covers the file header with
-    # the footer's last CRC
+    # version 1 streams used a float DCT, version 2 one interleaved
+    # payload; the footer's last CRC covers the file header
     seq = random_sequence(32, 32, 2, seed=11)
     data = encode_sequence(seq, None,
                            EncoderConfig(texture_mode=False)).bitstream
-    with pytest.raises(BitstreamError, match="unsupported .* version 1"):
-        decode_sequence(data[:4] + b"\x01" + data[5:])
+    for version in (1, 2):
+        with pytest.raises(BitstreamError,
+                           match=f"unsupported .* version {version}"):
+            decode_sequence(data[:4] + bytes([version]) + data[5:])
     for offset, value in ((9, 1),    # frame_count 2 -> 1
                           (11, 5),   # gf 8 -> 5: frame 1 stays INTER
                           (12, 2)):  # rotzoom -> affine
@@ -381,7 +374,6 @@ def test_encoder_config_validation():
     with pytest.raises(ValueError):
         EncoderConfig(gf_group_size=17)
     cfg = EncoderConfig(q_level=24)
-    assert cfg.q_step == 24
     assert cfg.rd_lambda == pytest.approx(0.85 * 576)
 
 
@@ -498,7 +490,7 @@ def _greedy_leaf(ctx, cfg, rect):
         cost = dist + ctx.rd_lambda * bits
         if best is None or cost < best[0]:
             best = (cost, leaf, bits, dist)
-    _apply_leaf(ctx, best[1], rect)  # sibling context
+    _paste(ctx, rect, best[1].recon)  # sibling context
     return best[2], best[3]
 
 
@@ -523,7 +515,7 @@ def test_rd_search_matches_exhaustive_oracle(seed, q):
     key_recon = encode_sequence(seq, None, cfg).reconstructions[0]
     frame1 = seq[1]
     m = _q16_motion(_estimate_frame_motion(frame1, key_recon, None, cfg))
-    ctx = _FrameCtx(64, 64, cfg.q_step, INTER_FRAME, key_recon=key_recon,
+    ctx = _FrameCtx(64, 64, cfg.q_level, INTER_FRAME, key_recon=key_recon,
                     prev_recon=key_recon, motion=m, orig=frame1,
                     rd_lambda=cfg.rd_lambda)
 
@@ -566,7 +558,7 @@ def test_search_ignores_what_its_node_held(ftype, rect):
                                dtype=np.uint8) for p in ("y", "u", "v")}
     results = []
     for fill in ("zeros", "random"):
-        ctx = _FrameCtx(144, 128, cfg.q_step, ftype, key_recon=key_recon,
+        ctx = _FrameCtx(144, 128, cfg.q_level, ftype, key_recon=key_recon,
                         prev_recon=key_recon, motion=m, orig=seq[1],
                         rd_lambda=cfg.rd_lambda)
         recon = _yuv(ctx.recon)
@@ -636,12 +628,12 @@ def test_rd_tables_match_per_node_reference():
         for i in (0, 1, 2, 3):
             cur_mask = masks[i] if texture else None
             if i == 0:
-                ctx = _FrameCtx(pw, ph, cfg.q_step, KEY_FRAME,
+                ctx = _FrameCtx(pw, ph, cfg.q_level, KEY_FRAME,
                                 orig=padded[0], rd_lambda=cfg.rd_lambda)
             else:
                 m = _q16_motion(_estimate_frame_motion(padded[i], recons[0],
                                                        cur_mask, cfg))
-                ctx = _FrameCtx(pw, ph, cfg.q_step, INTER_FRAME,
+                ctx = _FrameCtx(pw, ph, cfg.q_level, INTER_FRAME,
                                 key_recon=recons[0], prev_recon=recons[i - 1],
                                 motion=m, orig=padded[i],
                                 rd_lambda=cfg.rd_lambda)

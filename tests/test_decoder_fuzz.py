@@ -1,23 +1,25 @@
 """File-level decoder properties on the pinned encodes of test_pins.py:
 whatever a stream is cut to, however its bytes are changed and whatever its
-header fields hold, `decode_sequence` returns or raises `BitstreamError`,
-never another exception, and its tracemalloc peak stays bounded."""
+header fields and payload parts hold, `decode_sequence` returns or raises
+`BitstreamError`, never another exception, and its tracemalloc peak stays
+bounded."""
 
-import functools
 import struct
 import tracemalloc
 import zlib
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crafted_streams import pack
+from pinned_encodes import pinned_encodes
 from texcodec import codec
-from texcodec.bitio import BitstreamError
+from texcodec.bitio import BitReader, BitstreamError
 from texcodec.codec import (INTER_FRAME, KEY_FRAME, MAX_FRAME_AREA,
-                            EncoderConfig, decode_sequence, encode_sequence)
+                            decode_sequence)
 from texcodec.frames import pad16
-from texcodec.sequences import panning_texture_sequence, random_sequence
 
 FILE_HEADER = "<4sBHHHBB"
 # The header sweeps keep the sizes at most 1024x1024, whose planes take
@@ -27,16 +29,8 @@ SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
                     database=None)
 
 
-@functools.lru_cache(maxsize=None)
 def _streams():
-    seq, masks = panning_texture_sequence(96, 64, n_frames=5, seed=5)
-    return (
-        encode_sequence(seq, masks, EncoderConfig(gf_group_size=4)).bitstream,
-        encode_sequence(seq, None, EncoderConfig(texture_mode=False)).bitstream,
-        encode_sequence(random_sequence(80, 48, 3, seed=7), None,
-                        EncoderConfig(q_level=16,
-                                      texture_mode=False)).bitstream,
-    )
+    return tuple(enc.bitstream for enc in pinned_encodes())
 
 
 def _sealed(stream: bytearray) -> bytes:
@@ -49,14 +43,15 @@ def _sealed(stream: bytearray) -> bytes:
 
 def _layout(data):
     """Per frame, the offsets of its header, of its Q16 motion (None in a
-    KEY frame) and of its payload length; and the footer's offset."""
+    KEY frame) and of its three lengths (payload, tree part, prefix part);
+    and the footer's offset."""
     pos = struct.calcsize(FILE_HEADER)
     frames = []
     for _ in range(struct.unpack_from(FILE_HEADER, data)[4]):
         motion = pos + 2 if data[pos] == INTER_FRAME else None
         plen_at = pos + 2 + (24 if motion else 0)
         frames.append((pos, motion, plen_at))
-        pos = plen_at + 4 + struct.unpack_from("<I", data, plen_at)[0]
+        pos = plen_at + 12 + struct.unpack_from("<I", data, plen_at)[0]
     return frames, pos
 
 
@@ -85,7 +80,7 @@ def test_every_header_and_footer_cut_is_rejected():
         frames, footer = _layout(data)
         cuts = set(range(struct.calcsize(FILE_HEADER) + 1))
         for start, _, plen_at in frames:
-            cuts.update(range(start, plen_at + 5))
+            cuts.update(range(start, plen_at + 13))
         cuts.update(range(footer, len(data)))
         assert len(data) not in cuts
         for cut in sorted(cuts):
@@ -115,10 +110,10 @@ def test_any_cut_is_rejected():
 def test_cut_in_last_payload_or_footer_is_rejected_before_decoding(
         monkeypatch):
     # the decoder walks every frame record and the footer first
-    def decode_node(*args):
+    def parse_frame(*args):
         raise AssertionError("a frame was decoded")
 
-    monkeypatch.setattr(codec, "_decode_node", decode_node)
+    monkeypatch.setattr(codec, "_parse_frame", parse_frame)
     for data in _streams():
         _, footer = _layout(data)
         for cut, error in ((footer - 1, "truncated payload"),
@@ -258,3 +253,129 @@ def test_changed_gf_that_fits_every_frame_type_is_rejected(gf):
     assert data[_FILE_FIELDS["gf"][0]] == 8
     with pytest.raises(BitstreamError, match="file header CRC mismatch"):
         decode_sequence(_with_byte(data, _FILE_FIELDS["gf"][0], gf))
+
+
+# The payload's partition: its tree and prefix part lengths, and the parts
+
+
+def _parts(data, frame):
+    """Frame `frame`'s (tree, prefix, suffix) part bytes, and the offset of
+    its three lengths."""
+    _, _, plen_at = _layout(data)[0][frame]
+    plen, tree_len, prefix_len = struct.unpack_from("<3I", data, plen_at)
+    tree = plen_at + 12
+    prefix = tree + tree_len
+    return (data[tree:prefix], data[prefix:prefix + prefix_len],
+            data[prefix + prefix_len:tree + plen]), plen_at
+
+
+def _with_parts(data, frame, tree, prefix, suffix) -> bytes:
+    """`data` with frame `frame`'s parts replaced and its lengths set."""
+    (old, plen_at) = _parts(data, frame)
+    end = plen_at + 12 + sum(map(len, old))
+    return (data[:plen_at]
+            + struct.pack("<3I", len(tree) + len(prefix) + len(suffix),
+                          len(tree), len(prefix))
+            + tree + prefix + suffix + data[end:])
+
+
+@SETTINGS
+@given(streams, st.integers(0, 4), st.sampled_from(["tree", "prefix"]),
+       st.sampled_from(["zero", "past", "sum-past"]), st.data())
+def test_part_length_sweeps(which, frame, field, kind, data):
+    # a tree or prefix part length of 0, past the payload length, or
+    # within it but summing past it with the other
+    stream = bytearray(_streams()[which])
+    frames, _ = _layout(stream)
+    _, _, plen_at = frames[frame % len(frames)]
+    plen, tree_len, prefix_len = struct.unpack_from("<3I", stream, plen_at)
+    at = plen_at + (4 if field == "tree" else 8)
+    other = prefix_len if field == "tree" else tree_len
+    value = {"zero": st.just(0),
+             "past": st.integers(plen + 1, 0xFFFFFFFF),
+             "sum-past": st.integers(max(0, plen - other + 1), plen)}[kind]
+    struct.pack_into("<I", stream, at, data.draw(value))
+    _decode_traced(bytes(stream))
+
+
+def test_part_lengths_past_the_payload_are_rejected():
+    data = _streams()[0]
+    _, plen_at = _parts(data, 0)
+    plen, tree_len, prefix_len = struct.unpack_from("<3I", data, plen_at)
+    for lengths in ((plen + 1, 0),
+                    (0, plen + 1),
+                    (tree_len, plen - tree_len + 1)):
+        stream = bytearray(data)
+        struct.pack_into("<2I", stream, plen_at + 4, *lengths)
+        with pytest.raises(BitstreamError, match="shorter than its tree"):
+            decode_sequence(bytes(stream))
+
+
+def _bits(part: bytes) -> str:
+    return "".join(format(b, "08b") for b in part)
+
+
+def _prefix_bits(prefix: bytes) -> str:
+    """A prefix part's bits up to its last code's 1."""
+    bits = _bits(prefix)
+    return bits[:bits.rindex("1") + 1]
+
+
+def _tree_bits(data, frame, tree: bytes) -> str:
+    """Frame `frame`'s tree part bits up to its last code, as its parse
+    ends."""
+    width, height = struct.unpack_from("<HH", data, 5)
+    ctx = SimpleNamespace(pw=pad16(width), ph=pad16(height),
+                          frame_type=data[_layout(data)[0][frame][0]])
+    br, leaves = BitReader(tree), []
+    for row in codec._superblock_rows(ctx):
+        for rect in row:
+            codec._parse_tree(br, ctx, rect, leaves)
+    return _bits(tree)[:br._pos]
+
+
+def _with_pad_bit(bits: str) -> bytes:
+    """`bits` packed with a nonzero pad bit, or with a trailing nonzero
+    byte when they fill their last byte."""
+    return pack(bits + "0" * (-len(bits) % 8 - 1) + "1")
+
+
+@pytest.mark.parametrize("which", [0, 1, 2])
+@pytest.mark.parametrize("frame", [0, 1])
+def test_changed_parts_are_rejected(which, frame):
+    # each case changes one part of a KEY or an INTER frame, sets the
+    # lengths to match and must be refused, within the memory bound, before
+    # the frame's CRC is checked
+    data = _streams()[which]
+    (tree, prefix, suffix), _ = _parts(data, frame)
+    p, t = _prefix_bits(prefix), _tree_bits(data, frame, tree)
+    s = _bits(suffix)[:len(p) - p.count("1")]
+    cases = [
+        # a prefix part with too few 1s: its last code's 1 made a 0
+        ("too few codes", tree, pack(p[:-1] + "0"), suffix),
+        # a 33-zero prefix before the last code
+        ("malformed Exp-Golomb", tree, pack(p[:-1] + "0" * 33 + "1"), suffix),
+        # a suffix part that is too short
+        ("suffix part exhausted", tree, prefix, suffix[:-1]),
+        # bytes left after the last code of each part
+        ("data after the last code", tree + b"\x00", prefix, suffix),
+        ("prefix part", tree, prefix + b"\x00", suffix),
+        ("suffix part", tree, prefix, suffix + b"\x00"),
+        # nonzero pad bits in each part
+        ("data after the last code", _with_pad_bit(t), prefix, suffix),
+        ("prefix part", tree, _with_pad_bit(p), suffix),
+        ("suffix part", tree, prefix, _with_pad_bit(s)),
+    ]
+    assert s  # every frame tested has suffix bits, so a byte to cut
+    for error, *parts in cases:
+        changed = _with_parts(data, frame, *parts)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BitstreamError, match=error):
+                decode_sequence(changed)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < PEAK_BOUND
+    # the parts as they are decode
+    assert decode_sequence(_with_parts(data, frame, tree, prefix, suffix))

@@ -127,6 +127,70 @@ def test_warp_frame_matches_per_pixel_reference():
         assert np.array_equal(w.v, _ref_warp_plane(f.v, mc))
 
 
+def _int_warp_sample(plane, q16, frac, x, y):
+    """Sample (x, y) of the warp of `plane` (a list of rows) by the six
+    Q16.16 header ints `q16`, in Python integers, as docs/bitstream.md
+    defines it: the mapped coordinates in Q`frac` (16 for luma; 17 for
+    chroma, whose translation is half the header's), clamped to the plane,
+    the four samples weighted by products of the Q`frac` weights, and the
+    sum rounded half to even."""
+    a11, a12, a21, a22, tx, ty = q16
+    h, w = len(plane), len(plane[0])
+    one = 1 << frac
+    px = min(max(((a11 * x + a12 * y) << (frac - 16)) + tx, 0), (w - 1) * one)
+    py = min(max(((a21 * x + a22 * y) << (frac - 16)) + ty, 0), (h - 1) * one)
+    x0, fx = divmod(px, one)
+    y0, fy = divmod(py, one)
+    x1, y1 = min(x0 + 1, w - 1), min(y0 + 1, h - 1)
+    total = (plane[y0][x0] * (one - fx) * (one - fy)
+             + plane[y0][x1] * fx * (one - fy)
+             + plane[y1][x0] * (one - fx) * fy
+             + plane[y1][x1] * fx * fy)
+    q, r = divmod(total, one * one)
+    return q + (2 * r > one * one or (2 * r == one * one and q & 1))
+
+
+def _q16_headers(rng, n):
+    """n realistic Q16.16 headers (a small zoom, rotation and shear, and a
+    shift within a few hundred samples), n half-sample shifts, whose
+    weighted sums often end in exactly one half, and n arbitrary i32
+    ones."""
+    linear = rng.integers(-6554, 6554, (n, 4)) + [65536, 0, 0, 65536]
+    shift = rng.integers(-300 << 16, 300 << 16, (n, 2))
+    half = np.hstack([np.tile([65536, 0, 0, 65536], (n, 1)),
+                      rng.integers(-20, 20, (n, 2)) << 15])
+    arbitrary = rng.integers(-2 ** 31, 2 ** 31, (n, 6))
+    return np.concatenate([np.hstack([linear, shift]), half,
+                           arbitrary]).tolist()
+
+
+@pytest.mark.parametrize("width,height,samples", [(48, 40, None),
+                                                  (65536, 4, 300)],
+                         ids=["48x40", "65536x4"])
+def test_warp_frame_matches_integer_definition(width, height, samples):
+    # warp_frame's float arithmetic is exact on Q16.16 headers, so it is
+    # the integer warp that docs/bitstream.md defines: checked at every
+    # sample, or at `samples` random ones of each plane of the wide frame
+    rng = np.random.default_rng(7)
+    f = Frame(y=rng.integers(0, 256, (height, width), dtype=np.uint8),
+              uv=rng.integers(0, 256, (2, height // 2, width // 2),
+                              dtype=np.uint8))
+    for q16 in _q16_headers(rng, 8):
+        w = warp_frame(f, AffineMotion(*(v / 65536.0 for v in q16)))
+        for plane, got, frac in ((f.y, w.y, 16), (f.u, w.u, 17),
+                                 (f.v, w.v, 17)):
+            h, pw = plane.shape
+            if samples is None:
+                ys, xs = np.divmod(np.arange(h * pw), pw)
+            else:
+                ys, xs = rng.integers(0, h, samples), rng.integers(0, pw,
+                                                                   samples)
+            rows = plane.tolist()
+            want = [_int_warp_sample(rows, q16, frac, x, y)
+                    for x, y in zip(xs.tolist(), ys.tolist())]
+            assert got[ys, xs].tolist() == want
+
+
 def test_warp_frame_scratch_memory_is_bounded():
     # 1024x1024 planes are 1.5 MB; warping them whole took over 120 MB
     rng = np.random.default_rng(4)

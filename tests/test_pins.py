@@ -1,4 +1,4 @@
-"""Behaviour pins: SHA-256 of TXC1 v2 bitstreams and leaf traces, and the rates
+"""Behaviour pins: SHA-256 of TXC1 v3 bitstreams and leaf traces, and the rates
 of an RD sweep, for small fixed inputs; and of the analysis side's outputs:
 trained weights, segmentation masks and Y4M bytes.  A refactor that keeps
 the format must keep these values; a deliberate format change bumps the
@@ -9,13 +9,14 @@ import io
 
 import pytest
 
+from pinned_encodes import pinned_encodes
 from texcodec.analyzer import segment_frame, train_classifier
-from texcodec.codec import EncoderConfig, encode_sequence
+from texcodec.codec import EncoderConfig, decode_sequence
 from texcodec.datasets import DatasetConfig, synthesize_dataset
 from texcodec.frames import write_y4m
 from texcodec.metrics import rd_sweep
 from texcodec.nnet import NetSpec, TrainConfig, save_params
-from texcodec.sequences import panning_texture_sequence, random_sequence
+from texcodec.sequences import panning_texture_sequence
 
 
 def _sha(data: bytes) -> str:
@@ -28,45 +29,45 @@ def _trace_sha(enc) -> str:
                       for t in enc.traces]).encode())
 
 
-@pytest.fixture(scope="module")
-def pan_clip():
-    return panning_texture_sequence(96, 64, n_frames=5, seed=5)
-
-
-def test_pin_texture_mode_bitstream(pan_clip):
-    seq, masks = pan_clip
-    enc = encode_sequence(seq, masks, EncoderConfig(gf_group_size=4))
+def test_pin_texture_mode_bitstream():
+    enc = pinned_encodes()[0]
     assert _sha(enc.bitstream) == (
-        "fe28284aa13f1417f31a84bef0ca402844449b67209047e23be8c51d2f013265")
+        "129197e37cec0fd0c9864abfc22956060d8d4cd25fb996a2901b9a4bea6abbf4")
     assert _trace_sha(enc) == (
         "736766b65d557711541d5e485680155294a06166bf5b6c34ee285a8221977e94")
 
 
-def test_pin_baseline_bitstream(pan_clip):
-    seq, _ = pan_clip
-    enc = encode_sequence(seq, None, EncoderConfig(texture_mode=False))
+def test_pin_baseline_bitstream():
+    enc = pinned_encodes()[1]
     assert _sha(enc.bitstream) == (
-        "beee5f003c3acfadd92bfdfcfb982ffd306c312c27747949dfb20d3d1b9bdc86")
+        "9b5634f0c3511ce8f99ecdb9698d02d61d361dd425c6431746fdb4dd71852311")
     assert _trace_sha(enc) == (
         "39a14a67c701f3b2b2c8a511224d818d5c7a0470e5c10305a2e953cb1e08f4ac")
 
 
 def test_pin_partial_superblocks_bitstream():
-    seq = random_sequence(80, 48, 3, seed=7)
-    enc = encode_sequence(seq, None,
-                          EncoderConfig(q_level=16, texture_mode=False))
+    enc = pinned_encodes()[2]
     assert _sha(enc.bitstream) == (
-        "53360c44236b22d34bc874a05b86f7d24cc1ab84771899cb59769b795683937d")
+        "af599310066c794f1ef59fef62b821e4acc2a24145444c04f641ee8ace26865d")
     assert _trace_sha(enc) == (
         "0f6f31933f1f294e3eadded8310c820a08e9c34ab60a46b5cffdf75def2c09cb")
+
+
+@pytest.mark.parametrize("which", [0, 1, 2],
+                         ids=["texture", "baseline", "partial"])
+def test_decoder_trace_equals_the_encoders(which):
+    # the decoder's parse yields the (rect, mode) trace that the encoder
+    # wrote, from the bitstream alone
+    enc = pinned_encodes()[which]
+    assert decode_sequence(enc.bitstream).traces == enc.traces
 
 
 def test_pin_rd_sweep_rates():
     seq, masks = panning_texture_sequence(64, 64, n_frames=2, seed=3)
     report = rd_sweep(seq, masks, base_config=EncoderConfig(gf_group_size=8))
     rates = [(r["rate_baseline"], r["rate_texture"]) for r in report["levels"]]
-    assert rates == [(17184, 17248), (13488, 13632), (12060, 12252),
-                     (11060, 11232)]
+    assert rates == [(17256, 17316), (13556, 13700), (12128, 12316),
+                     (11132, 11304)]
 
 
 @pytest.fixture(scope="module")
