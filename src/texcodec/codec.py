@@ -111,6 +111,11 @@ class FrameStats:
     bits: int
     mode_counts: dict
     texture_area_fraction: float
+    # INTER frames: the mask the texture motion was fitted on
+    # ("texture_mask" or "whole_frame"), or "identity" when every fit
+    # failed; with the fit's MotionStats.as_dict() unless it is "identity"
+    motion_source: str | None = None
+    motion_stats: dict | None = None
 
     def as_dict(self):
         return dict(self.__dict__)
@@ -698,23 +703,25 @@ def _q16_motion(raw) -> AffineMotion:
 
 def _estimate_frame_motion(cur: Frame, key_recon: Frame, cur_mask, cfg):
     """The Q16.16 header ints of the texture motion against the group's KEY
-    reconstruction.  Without a usable texture region (or in baseline mode)
-    the model is fitted on the whole frame so GLOBAL_WARP stays
-    available."""
+    reconstruction, the mask it was fitted on and the fit's stats.  Without
+    a usable texture region (or in baseline mode), or when the fit on it
+    fails, the model is fitted on the whole frame so GLOBAL_WARP stays
+    available; when that fails too, the motion is the identity."""
     gh, gw = cur.height // BLOCK, cur.width // BLOCK
     masks = []
     if cfg.texture_mode and cur_mask is not None \
             and np.any(cur_mask.labels == TEXTURE_LABEL):
-        masks.append(cur_mask)
-    masks.append(all_texture_mask(gh, gw))
-    for mask in masks:
+        masks.append(("texture_mask", cur_mask))
+    masks.append(("whole_frame", all_texture_mask(gh, gw)))
+    for source, mask in masks:
         try:
-            m, _ = estimate_texture_motion(cur, key_recon, mask,
-                                           cfg.model_kind, cfg.motion_seed)
-            return _q16(m)
+            m, stats = estimate_texture_motion(cur, key_recon, mask,
+                                               cfg.model_kind,
+                                               cfg.motion_seed)
+            return _q16(m), source, stats.as_dict()
         except MotionError:
             continue
-    return _q16(AffineMotion.identity())
+    return _q16(AffineMotion.identity()), "identity", None
 
 
 class _CodedFrame(NamedTuple):
@@ -734,9 +741,10 @@ def _encode_frame(i: int, frame: Frame, cur_mask, config: EncoderConfig,
     is_key = ftype == KEY_FRAME
     pw, ph = frame.width, frame.height
     header = _FRAME_HEADER.pack(ftype, config.q_level)
-    m = ref_mask = None
+    m = ref_mask = source = motion_stats = None
     if not is_key:
-        q16 = _estimate_frame_motion(frame, key_recon, cur_mask, config)
+        q16, source, motion_stats = _estimate_frame_motion(
+            frame, key_recon, cur_mask, config)
         header += _MOTION.pack(*q16)
         m = _q16_motion(q16)
         ref_mask = key_mask
@@ -772,6 +780,8 @@ def _encode_frame(i: int, frame: Frame, cur_mask, config: EncoderConfig,
         bits=8 * len(data),
         mode_counts=mode_counts,
         texture_area_fraction=tex_area / (pw * ph),
+        motion_source=source,
+        motion_stats=motion_stats,
     )
     return _CodedFrame(data, recon, trace, stats, _recon_crc(recon))
 

@@ -2,12 +2,16 @@
 
 An AffineMotion maps current-frame luma coordinates into the reference
 frame: (x', y') = (a11*x + a12*y + tx, a21*x + a22*y + ty).  Estimation
-collects one translational correspondence per texture cell by diamond-search
-block matching (SAD on 16x16 luma, range +-SEARCH_RANGE, all cells searched
-in lockstep) with parabolic sub-pixel refinement, then fits the requested
-model with RANSAC and a least-squares refit on the inliers.  Synthesis
-warps the reference with bilinear interpolation, clamping out-of-bounds
-samples to the frame edge.
+seeds the search with a full-search translation of the texture region at
+quarter resolution (the shifts of one row scored together), collects one
+translational correspondence per texture cell by diamond-search block
+matching (SAD on 16x16 luma, range +-SEARCH_RANGE, all cells searched in
+lockstep) with parabolic sub-pixel refinement, then fits the requested
+model with RANSAC and a least-squares refit on the inliers.  The RANSAC
+minimal fits are solved as one stack of linear systems and their inliers
+counted as one array per block of hypotheses.  Synthesis warps the
+reference with bilinear interpolation, clamping out-of-bounds samples to
+the frame edge.
 """
 
 from __future__ import annotations
@@ -97,15 +101,26 @@ _LARGE_DIAMOND = np.array(((0, 0), (2, 0), (-2, 0), (0, 2), (0, -2),
 _SMALL_DIAMOND = np.array(((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)))
 
 
+_SAD_BLOCK = 1 << 20  # reference samples `_sads` gathers per step
+
+
 def _sads(blocks, windows, xs, ys, d) -> np.ndarray:
     """SAD of each block against its (n, k) reference windows displaced by
     the (n, k, 2) array `d`; _FAR where a displacement leaves ±SEARCH_RANGE
-    or the reference plane."""
+    or the reference plane.  The windows are gathered a few blocks at a
+    time, at most _SAD_BLOCK samples per step."""
     x, y = xs[:, None] + d[..., 0], ys[:, None] + d[..., 1]
     ok = ((np.abs(d).max(axis=-1) <= SEARCH_RANGE) & (x >= 0) & (y >= 0)
           & (x < windows.shape[1]) & (y < windows.shape[0]))
-    ref = windows[np.where(ok, y, 0), np.where(ok, x, 0)].astype(np.int16)
-    return np.where(ok, np.abs(ref - blocks[:, None]).sum(axis=(-2, -1)), _FAR)
+    x, y = np.where(ok, x, 0), np.where(ok, y, 0)
+    out = np.full(ok.shape, _FAR)
+    step = max(1, _SAD_BLOCK // (d.shape[1] * blocks.shape[-1] ** 2))
+    for lo in range(0, len(blocks), step):
+        part = slice(lo, lo + step)
+        ref = windows[y[part], x[part]].astype(np.int16)
+        sad = np.abs(ref - blocks[part, None]).sum(axis=(-2, -1))
+        out[part] = np.where(ok[part], sad, _FAR)
+    return out
 
 
 def _search_arrays(cur_y, ref_y, xs, ys, size):
@@ -156,41 +171,84 @@ def diamond_search(cur_y: np.ndarray, ref_y: np.ndarray, xs, ys, size: int,
     return best
 
 
+_COARSE_BLOCK = 1 << 14  # texture samples `coarse_translation` scores per step
+
+
+def _sums4(y: np.ndarray, h4: int, w4: int) -> np.ndarray:
+    """The (h4, w4) int16 sums of the 4x4 blocks of `y`: 16 times its
+    quarter-resolution means."""
+    a = y[:4 * h4, :4 * w4].astype(np.int16)
+    a = a[:, 0::4] + a[:, 1::4] + a[:, 2::4] + a[:, 3::4]
+    return a[0::4] + a[1::4] + a[2::4] + a[3::4]
+
+
+def _box_sums(grid: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """out[i, j]: the sum of `grid` over the samples that the shift
+    (shifts[j], shifts[i]) keeps inside the grid."""
+    h, w = grid.shape
+    table = np.zeros((h + 1, w + 1), np.int64)
+    table[1:, 1:] = grid.cumsum(axis=0, dtype=np.int64).cumsum(axis=1)
+    y0, y1 = np.clip(-shifts, 0, h), np.clip(h - shifts, 0, h)
+    x0, x1 = np.clip(-shifts, 0, w), np.clip(w - shifts, 0, w)
+    return (table[np.ix_(y1, x1)] - table[np.ix_(y0, x1)]
+            - table[np.ix_(y1, x0)] + table[np.ix_(y0, x0)])
+
+
 def coarse_translation(cur: Frame, ref: Frame,
                        cur_mask: TextureMask) -> tuple[int, int]:
     """Full-search translation of the texture region at quarter resolution;
-    used to seed the per-cell diamond searches."""
+    used to seed the per-cell diamond searches.
+
+    A shift (dx, dy) within ±SEARCH_RANGE/4 that keeps n >= 16 texture
+    samples of the quarter-resolution frame inside it costs the mean
+    absolute difference over those n samples.  The first least cost in
+    dy-major, dx-minor order wins; (0, 0) when no shift qualifies.  The
+    shifts of one dy are scored together, over at most _COARSE_BLOCK
+    texture samples at a time, so that the scratch arrays stay small.
+    """
     f = 4
     h4, w4 = cur.height // f, cur.width // f
     if h4 < 2 or w4 < 2:
         return (0, 0)
-
-    def down(y):
-        return y[:h4 * f, :w4 * f].astype(np.float64).reshape(
-            h4, f, w4, f).mean(axis=(1, 3))
-
-    cur4, ref4 = down(cur.y), down(ref.y)
     sel = np.kron(cur_mask.labels == TEXTURE,
                   np.ones((BLOCK // f, BLOCK // f), dtype=bool))[:h4, :w4]
-    if not sel.any():
+    ty, tx = np.nonzero(sel)
+    if not len(ty):
         return (0, 0)
     r = max(SEARCH_RANGE // f, 1)
-    best, best_cost = (0, 0), None
-    for dy in range(-r, r + 1):
-        for dx in range(-r, r + 1):
-            ys = slice(max(0, -dy), min(h4, h4 - dy))
-            xs = slice(max(0, -dx), min(w4, w4 - dx))
-            m = sel[ys, xs]
-            n = int(m.sum())
-            if n < 16:
-                continue
-            d = np.abs(cur4[ys, xs][m]
-                       - ref4[ys.start + dy:ys.stop + dy,
-                              xs.start + dx:xs.stop + dx][m])
-            cost = d.sum() / n
-            if best_cost is None or cost < best_cost:
-                best_cost, best = cost, (dx * f, dy * f)
-    return best
+    shifts = np.arange(-r, r + 1)
+    cur4 = _sums4(cur.y, h4, w4)
+    c = cur4[ty, tx]
+    # The reference is padded with r zero samples on each side, so that a
+    # shifted sample always lands in it; one that leaves the frame adds
+    # |c - 0| = c to `total`, taken off again below.  From row dy + r of
+    # the padded plane on, its flat sample idx[k, i] is the one that
+    # texture sample i meets at the shift (shifts[k], dy).
+    w = w4 + 2 * r
+    plane = np.pad(_sums4(ref.y, h4, w4), r).ravel()
+    total = np.zeros((2 * r + 1, 2 * r + 1), np.int64)
+    for lo in range(0, len(c), _COARSE_BLOCK):
+        part = slice(lo, lo + _COARSE_BLOCK)
+        idx = ty[part] * w + tx[part] + np.arange(2 * r + 1)[:, None]
+        for i, dy in enumerate(shifts):
+            d = np.take(plane[(dy + r) * w:], idx)
+            np.subtract(d, c[part], out=d)
+            total[i] += np.abs(d, out=d).sum(axis=1, dtype=np.int64)
+    inside = _box_sums(np.where(sel, cur4, 0), shifts)
+    n = _box_sums(sel, shifts)
+    s = total - (int(c.sum(dtype=np.int64)) - inside)
+    # Every absolute difference of 4x4 sums, and so every partial sum of
+    # them, is an exact integer; the 4x4 means that the costs are defined
+    # on are those sums / 16, whose differences then sum exactly to s / 16
+    # in any order.  So s / (16 n) is the one correctly rounded float of
+    # the mean over the n samples, whatever order s was summed in.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cost = np.where(n >= 16, s / (16.0 * n), np.inf)
+    k = int(cost.argmin())
+    if not np.isfinite(cost.flat[k]):
+        return (0, 0)
+    dy, dx = divmod(k, 2 * r + 1)
+    return (int(shifts[dx]) * f, int(shifts[dy]) * f)
 
 
 def collect_correspondences(cur: Frame, ref: Frame, cur_mask: TextureMask,
@@ -264,26 +322,94 @@ def _residuals(m: AffineMotion, src, dst) -> np.ndarray:
     return np.hypot(px - dst[:, 0], py - dst[:, 1])
 
 
+def _minimal_fits(src, dst, idx, kind: MotionModelKind) -> np.ndarray:
+    """The (I, 6) parameters (a11, a12, a21, a22, tx, ty) of the minimal fit
+    to each row of the (I, min_pts) sample array `idx`; NaN where that fit
+    fails.  Regular systems are solved as one stack; a singular one (two
+    equal ROTZOOM points, three collinear AFFINE points) is fitted by the
+    model's least-squares fitter, which returns the minimum-norm fit."""
+    s, d = src[idx], dst[idx]  # (I, min_pts, 2)
+    fits = np.empty((len(idx), 6))
+    if kind is MotionModelKind.TRANSLATION:
+        fits[:, :4] = (1.0, 0.0, 0.0, 1.0)
+        fits[:, 4:] = d[:, 0] - s[:, 0]
+        return fits
+    x, y = s[..., 0], s[..., 1]
+    one = np.ones_like(x)
+    if kind is MotionModelKind.ROTZOOM:
+        # the rows of _fit_rotzoom's system, point by point
+        zero = np.zeros_like(x)
+        A = np.stack((np.stack((x, y, one, zero), -1),
+                      np.stack((y, -x, zero, one), -1)), 2).reshape(-1, 4, 4)
+        b = d.reshape(-1, 4, 1)
+        singular = (x[:, 0] == x[:, 1]) & (y[:, 0] == y[:, 1])
+    else:
+        A = np.stack((x, y, one), -1)
+        b = d
+        # cell centres differ by whole samples, so the cross product of
+        # two point differences is an exact integer and 0 exactly when the
+        # three points are collinear
+        singular = ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
+                    == (y[:, 1] - y[:, 0]) * (x[:, 2] - x[:, 0]))
+    A[singular] = np.eye(A.shape[-1])  # fitted one by one below
+    try:
+        sol = np.linalg.solve(A, b)
+    except np.linalg.LinAlgError:  # a singular system of non-cell points
+        singular[:] = True
+        sol = np.zeros(b.shape[:1] + A.shape[-1:] + b.shape[-1:])
+    if kind is MotionModelKind.ROTZOOM:
+        a, bb, tx, ty = np.moveaxis(sol[..., 0], -1, 0)
+        fits[:] = np.column_stack((a, bb, -bb, a, tx, ty))
+    else:
+        fits[:] = np.column_stack((sol[:, 0, 0], sol[:, 1, 0], sol[:, 0, 1],
+                                   sol[:, 1, 1], sol[:, 2, 0], sol[:, 2, 1]))
+    fitter = _FITTERS[kind][0]
+    for i in np.flatnonzero(singular):
+        try:
+            fits[i] = fitter(s[i], d[i]).as_tuple()
+        except (MotionError, np.linalg.LinAlgError):
+            fits[i] = np.nan
+    return fits
+
+
+_RANSAC_BLOCK = 1 << 16  # (hypothesis, point) pairs scored per step
+
+
 def fit_motion_ransac(src, dst, kind: MotionModelKind,
                       seed: int) -> tuple[AffineMotion, np.ndarray]:
-    """RANSAC + least-squares refit; returns (model, inlier bool mask)."""
+    """RANSAC + least-squares refit; returns (model, inlier bool mask).
+
+    Draws RANSAC_ITERATIONS minimal samples, fits them all at once and
+    counts each fit's inliers, a block of at most _RANSAC_BLOCK residuals
+    at a time.  The first fit of most inliers is refitted on them by least
+    squares (on every point when it has fewer than the minimal sample),
+    then once more on the inliers of that refit."""
     fitter, min_pts = _FITTERS[kind]
     n = len(src)
     if n < min_pts:
         raise MotionError(f"{kind.value} fit needs >= {min_pts} points, got {n}")
     rng = np.random.default_rng(seed)
-    best_inliers = None
+    idx = np.array([rng.choice(n, size=min_pts, replace=False)
+                    for _ in range(RANSAC_ITERATIONS)])
+    x, y = src[:, 0], src[:, 1]
     best_count = -1
-    for _ in range(RANSAC_ITERATIONS):
-        idx = rng.choice(n, size=min_pts, replace=False)
-        try:
-            cand = fitter(src[idx], dst[idx])
-        except (MotionError, np.linalg.LinAlgError):
-            continue
-        inl = _residuals(cand, src, dst) <= RANSAC_THRESHOLD
-        if inl.sum() > best_count:
-            best_count, best_inliers = int(inl.sum()), inl
-    if best_inliers is None or best_count < min_pts:
+    step = max(1, _RANSAC_BLOCK // n)
+    with np.errstate(all="ignore"):
+        fits = _minimal_fits(src, dst, idx, kind)
+        for lo in range(0, RANSAC_ITERATIONS, step):
+            p = fits[lo:lo + step, :, None]
+            # AffineMotion.apply, one row per hypothesis.  A fit with a
+            # non-finite parameter has a NaN or infinite residual at every
+            # point, so no inliers: it wins only if no fit has min_pts
+            # inliers, and then every point is used, as if it was skipped.
+            inl = np.hypot(p[:, 0] * x + p[:, 1] * y + p[:, 4] - dst[:, 0],
+                           p[:, 2] * x + p[:, 3] * y + p[:, 5] - dst[:, 1]
+                           ) <= RANSAC_THRESHOLD
+            counts = inl.sum(axis=1)
+            k = int(counts.argmax())
+            if counts[k] > best_count:
+                best_count, best_inliers = int(counts[k]), inl[k]
+    if best_count < min_pts:
         best_inliers = np.ones(n, dtype=bool)
     model = fitter(src[best_inliers], dst[best_inliers])
     # one re-selection pass after the refit

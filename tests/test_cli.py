@@ -140,6 +140,11 @@ def test_encode_decode_roundtrip(workdir, tmp_path):
     assert report["total_bits"] == 8 * stream.stat().st_size
     assert len(report["frames"]) == 6
     assert report["frames"][0]["frame_type"] == "KEY"
+    assert report["frames"][0]["motion_source"] is None
+    for frame in report["frames"][1:]:
+        if frame["frame_type"] == "INTER":
+            assert frame["motion_source"] in ("texture_mask", "whole_frame")
+            assert frame["motion_stats"]["n_cells"] > 0
     out = tmp_path / "out.y4m"
     assert main(["decode", "--in", str(stream), "--out", str(out)]) == 0
     with open(out, "rb") as f:

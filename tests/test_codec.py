@@ -4,6 +4,7 @@ robustness and the RD search."""
 import itertools
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from crafted_streams import HUGE_LEVEL, container, key_record, single_tu_stream
 from search_oracle import diamond_search
 from texture_oracle import is_texture_block_oracle
+from texcodec import codec
 from texcodec.analyzer import TextureMask, all_texture_mask
 from texcodec.bitio import BitstreamError, se_to_ue
 from texcodec.codec import (_TU, INTER_FRAME, KEY_FRAME, MAX_FRAME_AREA,
@@ -23,7 +25,7 @@ from texcodec.codec import (_TU, INTER_FRAME, KEY_FRAME, MAX_FRAME_AREA,
                             decode_sequence, encode_sequence, is_texture_block)
 from texcodec.datasets import NON_TEXTURE, TEXTURE
 from texcodec.frames import BLOCK, BlockRect, Frame, Sequence, pad16, pad_frame
-from texcodec.motion import AffineMotion, MotionModelKind
+from texcodec.motion import AffineMotion, MotionError, MotionModelKind
 from texcodec.sequences import _noise_texture, panning_texture_sequence, random_sequence
 from texcodec.transform import transform_quantize
 
@@ -149,6 +151,68 @@ def test_baseline_never_emits_texture_blocks():
         assert stats.mode_counts["TEXTURE"] == 0
     for trace in enc.traces:
         assert all(mode != BlockMode.TEXTURE for _, mode in trace)
+
+
+def test_frame_stats_report_the_motion_source():
+    seq, masks = panning_texture_sequence(width=96, height=64, n_frames=3,
+                                          seed=5)
+    enc = encode_sequence(seq, masks, EncoderConfig())
+    key, *inter = enc.frame_stats
+    assert key.motion_source is None and key.motion_stats is None
+    for stats, mask in zip(inter, masks[1:]):
+        assert stats.motion_source == "texture_mask"
+        assert stats.motion_stats["n_cells"] == int(np.sum(mask.labels
+                                                           == TEXTURE))
+        assert stats.as_dict()["motion_stats"] == stats.motion_stats
+    base = encode_sequence(seq, None, EncoderConfig(texture_mode=False))
+    for stats in base.frame_stats[1:]:
+        assert stats.motion_source == "whole_frame"
+        assert stats.motion_stats["n_cells"] == 24
+
+
+def _failing_estimate(monkeypatch, fails):
+    """Make the codec's texture-motion fit raise MotionError on each mask
+    for which fails(mask) holds."""
+    real = codec.estimate_texture_motion
+
+    def estimate(cur, ref, mask, *args):
+        if fails(mask):
+            raise MotionError("forced")
+        return real(cur, ref, mask, *args)
+
+    monkeypatch.setattr(codec, "estimate_texture_motion", estimate)
+
+
+def test_motion_fallback_to_the_whole_frame_is_reported(monkeypatch):
+    seq, masks = panning_texture_sequence(width=96, height=64, n_frames=2,
+                                          seed=5)
+    cfg = EncoderConfig()
+    key_recon = encode_sequence(seq, masks, cfg).reconstructions[0]
+    cur = pad_frame(seq[1])
+    whole = _estimate_frame_motion(cur, key_recon, None,
+                                   replace(cfg, texture_mode=False))
+    _failing_estimate(monkeypatch, lambda m: not np.all(m.labels == TEXTURE))
+    assert _estimate_frame_motion(cur, key_recon, masks[1], cfg) == whole
+    assert whole[1] == "whole_frame"
+    stats = encode_sequence(seq, masks, cfg).frame_stats[1]
+    assert (stats.motion_source, stats.motion_stats) == whole[1:]
+
+
+def test_motion_fallback_to_identity_is_reported(monkeypatch):
+    seq, masks = panning_texture_sequence(width=96, height=64, n_frames=2,
+                                          seed=5)
+    _failing_estimate(monkeypatch, lambda m: True)
+    key_recon = encode_sequence(seq, masks, EncoderConfig()).reconstructions[0]
+    for mask, texture in ((masks[1], True), (None, False)):
+        cfg = EncoderConfig(texture_mode=texture)
+        assert _estimate_frame_motion(pad_frame(seq[1]), key_recon, mask,
+                                      cfg) == (_q16(AffineMotion.identity()),
+                                               "identity", None)
+        enc = encode_sequence(seq, masks if texture else None, cfg)
+        stats = enc.frame_stats[1]
+        assert (stats.motion_source, stats.motion_stats) == ("identity", None)
+        dec = decode_sequence(enc.bitstream)
+        assert enc.reconstructions[1].same_samples(dec.reconstructions[1])
 
 
 def test_key_frames_are_intra_only():
@@ -514,7 +578,7 @@ def test_rd_search_matches_exhaustive_oracle(seed, q):
     cfg = EncoderConfig(q_level=q, gf_group_size=8, texture_mode=False)
     key_recon = encode_sequence(seq, None, cfg).reconstructions[0]
     frame1 = seq[1]
-    m = _q16_motion(_estimate_frame_motion(frame1, key_recon, None, cfg))
+    m = _q16_motion(_estimate_frame_motion(frame1, key_recon, None, cfg)[0])
     ctx = _FrameCtx(64, 64, cfg.q_level, INTER_FRAME, key_recon=key_recon,
                     prev_recon=key_recon, motion=m, orig=frame1,
                     rd_lambda=cfg.rd_lambda)
@@ -552,7 +616,7 @@ def test_search_ignores_what_its_node_held(ftype, rect):
     seq = random_sequence(144, 128, 2, seed=44)  # 128 + 16: a partial column
     cfg = EncoderConfig(q_level=24, texture_mode=False)
     key_recon = encode_sequence(seq, None, cfg).reconstructions[0]
-    m = _q16_motion(_estimate_frame_motion(seq[1], key_recon, None, cfg))
+    m = _q16_motion(_estimate_frame_motion(seq[1], key_recon, None, cfg)[0])
     rng = np.random.default_rng(45)
     context = {p: rng.integers(0, 256, getattr(key_recon, p).shape,
                                dtype=np.uint8) for p in ("y", "u", "v")}
@@ -631,8 +695,8 @@ def test_rd_tables_match_per_node_reference():
                 ctx = _FrameCtx(pw, ph, cfg.q_level, KEY_FRAME,
                                 orig=padded[0], rd_lambda=cfg.rd_lambda)
             else:
-                m = _q16_motion(_estimate_frame_motion(padded[i], recons[0],
-                                                       cur_mask, cfg))
+                m = _q16_motion(_estimate_frame_motion(
+                    padded[i], recons[0], cur_mask, cfg)[0])
                 ctx = _FrameCtx(pw, ph, cfg.q_level, INTER_FRAME,
                                 key_recon=recons[0], prev_recon=recons[i - 1],
                                 motion=m, orig=padded[i],

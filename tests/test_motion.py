@@ -1,21 +1,25 @@
 """Texture motion estimation and warping."""
 
+import functools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import ransac_oracle
 import search_oracle
 from texcodec.analyzer import TextureMask, all_texture_mask
 from texcodec.datasets import NON_TEXTURE, TEXTURE
-from texcodec.frames import BlockRect, Frame
-from texcodec.motion import (SEARCH_RANGE, AffineMotion, MotionError,
-                             MotionModelKind, bilinear_sample, chroma_motion,
+from texcodec import motion
+from texcodec.frames import BlockRect, Frame, pad_frame
+from texcodec.motion import (RANSAC_ITERATIONS, SEARCH_RANGE, AffineMotion,
+                             MotionError, MotionModelKind, bilinear_sample,
+                             chroma_motion, coarse_translation,
                              collect_correspondences, diamond_search,
                              estimate_texture_motion, fit_motion_ransac,
                              warp_frame, warp_rect)
-from texcodec.sequences import _noise_texture
+from texcodec.sequences import _noise_texture, panning_texture_sequence
 
 
 def _texture_frame(w, h, seed=0, index=0):
@@ -345,6 +349,181 @@ def test_fit_needs_minimum_points():
     with pytest.raises(MotionError):
         fit_motion_ransac(np.zeros((2, 2)), np.zeros((2, 2)),
                           MotionModelKind.AFFINE, seed=1234)
+
+
+# ---------------------------------------------------------------------------
+# the array programs against their scalar oracles
+
+
+def _assert_fit_matches_oracle(src, dst, kind, seed):
+    m, inl = fit_motion_ransac(src, dst, kind, seed)
+    want_m, want_inl = ransac_oracle.fit_motion_ransac(src, dst, kind, seed)
+    assert m.as_tuple() == want_m.as_tuple()
+    assert inl.dtype == bool and np.array_equal(inl, want_inl)
+
+
+@functools.lru_cache(maxsize=None)
+def _panning_pairs(w, h, seed):
+    """(cur, KEY, cur mask, KEY mask) of a panning clip's frames 2 and 0,
+    padded as the codec codes them."""
+    seq, masks = panning_texture_sequence(w, h, n_frames=3, seed=seed)
+    return pad_frame(seq[2]), pad_frame(seq[0]), masks[2], masks[0]
+
+
+_CLIPS = [(w, h, seed) for w, h in ((128, 96), (176, 144), (352, 288))
+          for seed in (1, 2)]
+
+
+@pytest.mark.parametrize("w, h, clip_seed", _CLIPS)
+def test_batched_ransac_matches_scalar_oracle(w, h, clip_seed):
+    cur, key, cur_mask, _ = _panning_pairs(w, h, clip_seed)
+    n = int(np.sum(cur_mask.labels == TEXTURE))
+    starts = np.tile(coarse_translation(cur, key, cur_mask), (n, 1))
+    src, dst = collect_correspondences(cur, key, cur_mask, starts)
+    for kind in MotionModelKind:
+        for seed in (0, 1234, 77):
+            _assert_fit_matches_oracle(src, dst, kind, seed)
+
+
+def test_batched_ransac_blocks_keep_the_first_best(monkeypatch):
+    # hypotheses scored 7 at a time, so that equal inlier counts meet
+    # across blocks as well as within one
+    cur, key, cur_mask, _ = _panning_pairs(176, 144, 1)
+    n = int(np.sum(cur_mask.labels == TEXTURE))
+    src, dst = collect_correspondences(cur, key, cur_mask,
+                                       np.zeros((n, 2), np.int64))
+    dst[::3] += 2.0
+    monkeypatch.setattr(motion, "_RANSAC_BLOCK", 7 * n)
+    for kind in MotionModelKind:
+        for seed in (0, 1234):
+            _assert_fit_matches_oracle(src, dst, kind, seed)
+    # two halves moving apart: a fit to either half has 20 inliers, and
+    # the half drawn first must win
+    src = _cell_centres(10, 4)
+    dst = src + np.where(np.arange(40)[:, None] < 20, (5.0, 0), (-5.0, 0))
+    monkeypatch.setattr(motion, "_RANSAC_BLOCK", 7 * 40)
+    for kind in MotionModelKind:
+        for seed in (0, 1, 2):
+            _assert_fit_matches_oracle(src, dst, kind, seed)
+
+
+def _cell_centres(cols, rows):
+    gx, gy = np.meshgrid(np.arange(cols), np.arange(rows))
+    return np.column_stack((gx.ravel(), gy.ravel())) * 16 + 7.5
+
+
+def test_batched_ransac_matches_oracle_on_singular_samples():
+    rng = np.random.default_rng(21)
+    truth = AffineMotion(a11=1.01, a12=0.02, a21=-0.015, a22=0.99,
+                         tx=2.3, ty=-1.1)
+    # two rows of cells: a fifth of all AFFINE draws are collinear, and a
+    # repeated point can make a ROTZOOM draw singular as well
+    src = np.concatenate((_cell_centres(9, 2), _cell_centres(1, 1)))
+    dst = np.column_stack(truth.apply(src[:, 0], src[:, 1]))
+    dst += rng.normal(0, 0.4, dst.shape)
+    dst[:4] += rng.uniform(5, 9, (4, 2))
+    draws = np.random.default_rng(5)
+    idx = np.array([draws.choice(len(src), 3, replace=False)
+                    for _ in range(RANSAC_ITERATIONS)])
+    assert np.any(src[idx, 1].min(axis=1) == src[idx, 1].max(axis=1))
+    for kind in MotionModelKind:
+        _assert_fit_matches_oracle(src, dst, kind, 5)
+    # every draw from one row of cells is collinear
+    line = _cell_centres(12, 1)
+    for kind in MotionModelKind:
+        _assert_fit_matches_oracle(line, line + (3.0, -2.0), kind, 8)
+
+
+def test_batched_ransac_matches_oracle_with_non_finite_points():
+    cur, key, cur_mask, _ = _panning_pairs(128, 96, 1)
+    n = int(np.sum(cur_mask.labels == TEXTURE))
+    src, dst = collect_correspondences(cur, key, cur_mask,
+                                       np.zeros((n, 2), np.int64))
+    for bad in (np.nan, np.inf):
+        d = dst.copy()
+        d[3, 0] = bad
+        d[n // 2, 1] = -bad
+        for kind in MotionModelKind:
+            for seed in (0, 1234):
+                _assert_fit_matches_oracle(src, d, kind, seed)
+
+
+def test_batched_ransac_too_few_points_error_unchanged():
+    for kind, n in ((MotionModelKind.TRANSLATION, 0),
+                    (MotionModelKind.ROTZOOM, 1), (MotionModelKind.AFFINE, 2)):
+        pts = _cell_centres(n, 1)
+        with pytest.raises(MotionError) as got:
+            fit_motion_ransac(pts, pts, kind, 1)
+        with pytest.raises(MotionError) as want:
+            ransac_oracle.fit_motion_ransac(pts, pts, kind, 1)
+        assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("w, h, clip_seed", _CLIPS)
+def test_coarse_translation_matches_scalar_oracle(w, h, clip_seed):
+    cur, key, cur_mask, key_mask = _panning_pairs(w, h, clip_seed)
+    for mask in (cur_mask, key_mask):
+        assert (coarse_translation(cur, key, mask)
+                == ransac_oracle.coarse_translation(cur, key, mask))
+
+
+def _one_cell_mask(gh, gw, gy, gx):
+    labels = np.zeros((gh, gw), np.uint8)
+    labels[gy, gx] = TEXTURE
+    return TextureMask(labels=labels, probs=labels.astype(np.float32))
+
+
+def _both_coarse(cur, ref, mask):
+    got = coarse_translation(cur, ref, mask)
+    assert got == ransac_oracle.coarse_translation(cur, ref, mask)
+    return got
+
+
+def test_coarse_translation_crafted_cases():
+    rng = np.random.default_rng(31)
+    f = _texture_frame(96, 64, seed=31)
+    # the reference is the current frame moved 4 px left: the exact match
+    # (-4, 0) keeps only 12 samples of a cell in column 0, so it is skipped
+    ref = Frame(y=np.roll(f.y, -4, axis=1), uv=f.uv)
+    assert _both_coarse(f, ref, _one_cell_mask(4, 6, 1, 0)) != (-4, 0)
+    assert _both_coarse(f, ref, _one_cell_mask(4, 6, 1, 2)) == (-4, 0)
+    # a cell cut to one quarter-resolution column never reaches 16 samples
+    narrow = Frame(y=f.y[:, :36], uv=f.uv[:, :, :18])
+    assert _both_coarse(narrow, narrow, _one_cell_mask(4, 3, 1, 2)) == (0, 0)
+    # on flat planes every shift ties at cost 0: the first one wins
+    flat = Frame(y=np.full((64, 96), 77, np.uint8), uv=f.uv)
+    assert _both_coarse(flat, flat, all_texture_mask(4, 6)) == (-32, -32)
+    # columns of period 8 px: the matches 8 px apart tie
+    stripes = Frame(y=np.tile(rng.integers(0, 256, (64, 8), dtype=np.uint8),
+                              (1, 12)), uv=f.uv)
+    assert _both_coarse(stripes, stripes, all_texture_mask(4, 6)) == (-32, 0)
+    moved = Frame(y=np.roll(stripes.y, 4, axis=1), uv=f.uv)
+    assert _both_coarse(stripes, moved, all_texture_mask(4, 6)) == (-28, 0)
+    # under two quarter-resolution rows, there is nothing to search
+    short = Frame(y=f.y[:7], uv=f.uv[:, :4])
+    assert _both_coarse(short, short, all_texture_mask(1, 6)) == (0, 0)
+
+
+def test_estimate_scratch_memory_is_bounded():
+    # 1920x1088 with all 8 160 cells texture: gathering every cell's SAD
+    # candidates at once took 107 MB, and scoring all RANSAC hypotheses of
+    # 8 160 points at once takes 13 MB per (200, n) float array
+    rng = np.random.default_rng(3)
+    w, h = 1920, 1088
+    canvas = _noise_texture(rng, h + 8, w + 8, sigma=1.0)
+    uv = np.full((2, h // 2, w // 2), 128, np.uint8)
+    ref = Frame(y=canvas[4:4 + h, 4:4 + w], uv=uv)
+    cur = Frame(y=canvas[2:2 + h, 7:7 + w], uv=uv)
+    mask = all_texture_mask(h // 16, w // 16)
+    tracemalloc.start()
+    try:
+        m, stats = estimate_texture_motion(cur, ref, mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.n_cells == 8160 and stats.inlier_fraction > 0.9
+    assert np.allclose((m.tx, m.ty), (3.0, -2.0), atol=0.05)
+    assert peak < 24 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
