@@ -7,6 +7,14 @@ binary weight-file format ("TXNN").  Everything runs on plain numpy arrays;
 float64 mode exists for finite-difference gradient checks.
 
 Convolution uses the cross-correlation convention (no kernel flip).
+
+The layers move data without changing any float operation or its order
+against the plain forms kept as references in the tests: 2x2 max pooling
+takes the maximum of four strided views and keeps a uint8 index of each
+window's first maximum; the convolution's input gradient adds the nine
+shifted column slices into the unpadded input; batch normalization runs its
+elementwise steps in place on its own temporaries.  No layer writes into
+its arguments.
 """
 
 from __future__ import annotations
@@ -80,7 +88,8 @@ class Conv2D(Layer):
             raise ShapeError(f"conv expects {self.in_ch} channels, got {c}")
         cols = self._im2col(x)
         w2 = self.params["w"].reshape(self.out_ch, self.in_ch * 9)
-        out = np.matmul(w2[None], cols) + self.params["b"][None, :, None]
+        out = np.matmul(w2[None], cols)
+        out += self.params["b"][None, :, None]
         self._cache = (x.shape, cols)
         return out.reshape(n, self.out_ch, h, w)
 
@@ -93,11 +102,28 @@ class Conv2D(Layer):
         self.grads["b"] = d2.sum(axis=(0, 2))
         w2 = self.params["w"].reshape(self.out_ch, self.in_ch * 9)
         dcols = np.matmul(w2.T[None], d2).reshape(n, c, 3, 3, h, w)
-        dxp = np.zeros((n, c, h + 2, w + 2), dtype=dout.dtype)
+        return self._col2im(dcols)
+
+    def _col2im(self, dcols):
+        """(n, c, h, w) input gradient of (n, c, 3, 3, h, w) column
+        gradients: tap (di, dj) sends column (y, x) to input
+        (y + di - 1, x + dj - 1), and what lands in the padding is dropped.
+        Every input element sums its terms in (di, dj) order from +0.0."""
+        n, c, _, _, h, w = dcols.shape
+        dx = np.zeros((n, c, h, w), dtype=dcols.dtype)
         for di in range(3):
+            ys, yd = _tap_slices(di, h)
             for dj in range(3):
-                dxp[:, :, di:di + h, dj:dj + w] += dcols[:, :, di, dj]
-        return dxp[:, :, 1:-1, 1:-1]
+                xs, xd = _tap_slices(dj, w)
+                dx[:, :, yd, xd] += dcols[:, :, di, dj, ys, xs]
+        return dx
+
+
+def _tap_slices(k, size):
+    """(column, input) slices of tap offset k along an axis of `size`:
+    column y goes to input y + k - 1 where that lies inside the input."""
+    lo, hi = max(0, 1 - k), min(size, size + 1 - k)
+    return slice(lo, hi), slice(lo + k - 1, hi + k - 1)
 
 
 class BatchNorm(Layer):
@@ -138,11 +164,10 @@ class BatchNorm(Layer):
             mean = self.buffers["running_mean"].astype(x.dtype)
             var = self.buffers["running_var"].astype(x.dtype)
         istd = 1.0 / np.sqrt(var + self.EPS)
-        xhat = (x - mean[None, :, None, None]) * istd[None, :, None, None]
-        out = (
-            self.params["gamma"][None, :, None, None] * xhat
-            + self.params["beta"][None, :, None, None]
-        )
+        xhat = x - mean[None, :, None, None]
+        xhat *= istd[None, :, None, None]
+        out = self.params["gamma"][None, :, None, None] * xhat
+        out += self.params["beta"][None, :, None, None]
         self._cache = (xhat, istd, train, x.shape)
         return out
 
@@ -154,13 +179,12 @@ class BatchNorm(Layer):
         g = self.params["gamma"][None, :, None, None]
         if not train:
             return dout * g * istd[None, :, None, None]
-        n = shape[0] * shape[2] * shape[3]
         dxhat = dout * g
-        dx = (
-            dxhat
-            - dxhat.mean(axis=axes, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=axes, keepdims=True)
-        ) * istd[None, :, None, None]
+        dx = dxhat - dxhat.mean(axis=axes, keepdims=True)
+        proj = dxhat * xhat
+        np.multiply(xhat, proj.mean(axis=axes, keepdims=True), out=proj)
+        dx -= proj
+        dx *= istd[None, :, None, None]
         return dx
 
 
@@ -173,26 +197,52 @@ class ReLU(Layer):
         return dout * self._mask
 
 
+def _window_views(x):
+    """The four strided views of x's 2x2 windows, in raster order: k = 0..3
+    is window position (k // 2, k % 2)."""
+    return (x[:, :, 0::2, 0::2], x[:, :, 0::2, 1::2],
+            x[:, :, 1::2, 0::2], x[:, :, 1::2, 1::2])
+
+
 class MaxPool2x2(Layer):
     """2x2 window, stride 2.  Even spatial dims only; ties go to the first
-    position in raster order."""
+    position in raster order.
+
+    The output is the elementwise maximum of the four strided window views.
+    Forward keeps the uint8 index of each window's first maximum in both
+    modes, and no reference to its input (keeping the input in eval mode,
+    to derive the index only for backward, held a segmentation pass's ReLU
+    outputs alive and raised the peak RSS).  Backward writes `dout` at the
+    index and +0.0 at the window's other three positions: the bit pattern
+    of `dout` times 0 or 1, so a -0.0 or NaN in `dout` is kept as it is and
+    no product of a float with 0 can make a -0.0."""
 
     def forward(self, x, train=False, rng=None):
-        n, c, h, w = x.shape
+        h, w = x.shape[2:]
         if h % 2 or w % 2:
             raise ShapeError(f"maxpool needs even spatial dims, got {h}x{w}")
-        r = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
-        r = r.reshape(n, c, h // 2, w // 2, 4)
-        self._idx = r.argmax(axis=-1)
+        a, b, c, d = _window_views(x)
+        # The earlier position is always maximum's second operand: numpy
+        # returns that one when the two compare equal (the tests check it),
+        # so a -0.0/+0.0 tie keeps the first one's sign, as the index does.
+        # A NaN anywhere in a window makes its maximum NaN.
+        top, bottom = np.maximum(b, a), np.maximum(d, c)
+        # A later position wins only by comparing strictly greater.  (A
+        # window holding a NaN gets an index, not always its first NaN's.)
+        lower = bottom > top
+        right = (lower & (d > c)) | (~lower & (b > a))
+        self._idx = lower.view(np.uint8) * np.uint8(2)
+        self._idx += right
         self._inshape = x.shape
-        return np.take_along_axis(r, self._idx[..., None], axis=-1)[..., 0]
+        return np.maximum(bottom, top)
 
     def backward(self, dout):
-        n, c, h, w = self._inshape
-        dr = np.zeros((n, c, h // 2, w // 2, 4), dtype=dout.dtype)
-        np.put_along_axis(dr, self._idx[..., None], dout[..., None], axis=-1)
-        dr = dr.reshape(n, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-        return dr.reshape(n, c, h, w)
+        dx = np.empty(self._inshape, dtype=dout.dtype)
+        bits = np.dtype(f"u{dx.itemsize}")
+        src = dout.view(bits)
+        for k, view in enumerate(_window_views(dx.view(bits))):
+            np.multiply(self._idx == k, src, out=view)
+        return dx
 
 
 class Flatten(Layer):

@@ -69,13 +69,75 @@ def test_conv_columns_match_loop_reference(n, c, h, w, out):
     x = rng.standard_normal((n, c, h, w)).astype(np.float32)
     cols = conv._im2col(x)
     assert cols.dtype == np.float32
-    assert np.array_equal(cols, _loop_im2col(x))
+    assert cols.tobytes() == _loop_im2col(x).tobytes()
     dout = rng.standard_normal((n, out, h, w)).astype(np.float32)
     conv.forward(x)
     dx = conv.backward(dout)
     w2 = conv.params["w"].reshape(out, c * 9)
     dcols = np.matmul(w2.T[None], dout.reshape(n, out, h * w))
-    assert np.array_equal(dx, _loop_col2im(dcols, x.shape))
+    assert dx.dtype == np.float32
+    assert dx.tobytes() == _loop_col2im(dcols, x.shape).tobytes()
+    # signed zeros: -0.0 terms must sum from +0.0 exactly as the loop does
+    dcols = np.where(rng.random(dcols.shape) < 0.5, np.float32(-0.0), dcols)
+    dx = conv._col2im(dcols.reshape(n, c, 3, 3, h, w))
+    assert dx.tobytes() == _loop_col2im(dcols, x.shape).tobytes()
+    assert not np.signbit(dx[dx == 0]).any()
+
+
+def _argmax_pool(x):
+    """MaxPool2x2's forward as a first-max argmax over a transposed copy of
+    the windows: (output, int64 window index)."""
+    n, c, h, w = x.shape
+    r = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
+    r = r.reshape(n, c, h // 2, w // 2, 4)
+    idx = r.argmax(axis=-1)
+    return np.take_along_axis(r, idx[..., None], axis=-1)[..., 0], idx
+
+
+def _argmax_unpool(dout, idx, shape):
+    """MaxPool2x2's backward from the argmax index: dout at the index, +0.0
+    at the window's other positions."""
+    n, c, h, w = shape
+    dr = np.zeros((n, c, h // 2, w // 2, 4), dtype=dout.dtype)
+    np.put_along_axis(dr, idx[..., None], dout[..., None], axis=-1)
+    dr = dr.reshape(n, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
+    return dr.reshape(n, c, h, w)
+
+
+def _pool_input(kind, shape, dtype, rng):
+    if kind == "relu":  # ReLU's output: -0.0 wherever its input was < 0
+        return ReLU().forward(rng.standard_normal(shape).astype(dtype))
+    if kind == "signed_zeros":  # ties between -0.0 and +0.0 as well
+        x = ReLU().forward(rng.standard_normal(shape).astype(dtype))
+        return np.where(rng.random(shape) < 0.3, dtype(0.0), x)
+    if kind == "small_int":
+        return rng.integers(-2, 3, shape).astype(dtype)
+    assert kind == "equal_windows"  # every window holds one value 4 times
+    n, c, h, w = shape
+    v = rng.integers(-3, 4, (n, c, h // 2, w // 2)).astype(dtype)
+    return np.repeat(np.repeat(v, 2, axis=2), 2, axis=3)
+
+
+@pytest.mark.parametrize("kind", ["relu", "signed_zeros", "small_int",
+                                  "equal_windows"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("train", [True, False])
+@pytest.mark.parametrize("n,size", [(3, 16), (2, 8), (1, 4), (1, 16)])
+def test_maxpool_matches_argmax_oracle(kind, dtype, train, n, size):
+    rng = np.random.default_rng(size + n)
+    shape = (n, 5, size, size)
+    x = _pool_input(kind, shape, dtype, rng)
+    pool = MaxPool2x2()
+    out = pool.forward(x, train=train)
+    ref, idx = _argmax_pool(x)
+    assert out.dtype == dtype and out.shape == ref.shape
+    assert out.tobytes() == ref.tobytes()
+    assert pool._idx.dtype == np.uint8  # 1 byte per output, not argmax's 8
+    dout = rng.standard_normal(ref.shape).astype(dtype)
+    dout[rng.random(ref.shape) < 0.2] = -0.0
+    dx = pool.backward(dout)
+    assert dx.dtype == dtype and dx.shape == shape
+    assert dx.tobytes() == _argmax_unpool(dout, idx, shape).tobytes()
 
 
 def test_conv_channel_mismatch():
@@ -240,6 +302,32 @@ def test_relu_maxpool_flatten_dense_dropout_gradients():
     x2 = rng.standard_normal((4, 6))
     assert check_layer(Dense(6, 3, rng), x2) < 1e-4
     assert check_layer(Dropout(0.5), x2) < 1e-4
+
+
+def _every_layer():
+    rng = np.random.default_rng(21)
+    x4 = rng.standard_normal((4, 3, 8, 8)).astype(np.float32)
+    x2 = rng.standard_normal((4, 6)).astype(np.float32)
+    bn = BatchNorm(3)
+    bn.params["gamma"] = rng.standard_normal(3).astype(np.float32)
+    bn.params["beta"] = rng.standard_normal(3).astype(np.float32)
+    return [(Conv2D(3, 5, rng), x4), (bn, x4), (ReLU(), x4),
+            (MaxPool2x2(), x4), (Flatten(), x4), (Dense(6, 3, rng), x2),
+            (Dropout(0.5), x2)]
+
+
+@pytest.mark.parametrize("train", [True, False])
+def test_layers_leave_their_arguments_unchanged(train):
+    for layer, x in _every_layer():
+        x_before = x.copy()
+        out = layer.forward(x, train=train, rng=np.random.default_rng(22))
+        assert x.tobytes() == x_before.tobytes(), type(layer).__name__
+        dout = np.random.default_rng(23).standard_normal(out.shape).astype(
+            np.float32)
+        dout_before = dout.copy()
+        layer.backward(dout)
+        assert dout.tobytes() == dout_before.tobytes(), type(layer).__name__
+        assert x.tobytes() == x_before.tobytes(), type(layer).__name__
 
 
 def test_zero_weight_dense_gives_zero_input_gradient():
